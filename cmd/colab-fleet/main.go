@@ -158,6 +158,10 @@ func sweepOptions(workloads, machines, policies, seeds string, workers int) ([]c
 	return opts, nil
 }
 
+// readHeaderTimeout bounds how long a peer may take to send its request
+// headers, so a slow or stalled client cannot hold a connection open.
+const readHeaderTimeout = 10 * time.Second
+
 // runWorker serves a worker daemon until ctx is cancelled (SIGTERM),
 // then drains in-flight shards gracefully.
 func runWorker(ctx context.Context, stderr io.Writer, addr, coordinator, advertise string, heartbeat, drain time.Duration, cacheLimit int) error {
@@ -173,7 +177,7 @@ func runWorker(ctx context.Context, stderr io.Writer, addr, coordinator, adverti
 	if advertise == "" {
 		advertise = "http://" + hostPort(ln.Addr().String(), addr)
 	}
-	srv := &http.Server{Handler: w}
+	srv := &http.Server{Handler: w, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	go colab.RegisterFleetWorker(ctx, nil, coordinator, advertise, heartbeat)
@@ -214,7 +218,7 @@ func runCoordinator(ctx context.Context, stdout, stderr io.Writer, addr string, 
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: f}
+	srv := &http.Server{Handler: f, ReadHeaderTimeout: readHeaderTimeout}
 	defer srv.Close()
 	go srv.Serve(ln)
 	fmt.Fprintf(stderr, "colab-fleet: coordinator on %s waiting for %d worker(s)\n", ln.Addr(), minWorkers)

@@ -52,6 +52,10 @@ import (
 	"colab/internal/workload"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a slow or stalled client cannot hold a connection open.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	maxConcurrent := flag.Int("max-concurrent", 0, "bound simultaneous /run sweeps; excess requests get 429 (0 = unbounded)")
@@ -59,7 +63,7 @@ func main() {
 	drain := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget for in-flight streams")
 	flag.Parse()
 	s := newServer(serverOptions{maxConcurrent: *maxConcurrent, cacheLimit: *cacheLimit})
-	srv := &http.Server{Addr: *addr, Handler: s}
+	srv := &http.Server{Addr: *addr, Handler: s, ReadHeaderTimeout: readHeaderTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

@@ -137,8 +137,12 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var reg registration
-	if err := json.NewDecoder(r.Body).Decode(&reg); err != nil || !strings.HasPrefix(reg.URL, "http") {
-		http.Error(w, "fleet: registration body must be {\"url\": \"http://...\"}", http.StatusBadRequest)
+	code, _ := decodeBody(w, r, MaxRegistrationBytes, &reg)
+	if code == http.StatusOK && !strings.HasPrefix(reg.URL, "http") {
+		code = http.StatusBadRequest
+	}
+	if code != http.StatusOK {
+		http.Error(w, "fleet: registration body must be {\"url\": \"http://...\"}", code)
 		return
 	}
 	url := strings.TrimRight(reg.URL, "/")

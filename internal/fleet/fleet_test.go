@@ -397,3 +397,52 @@ func TestWorkerRejectsTraceFileSpecs(t *testing.T) {
 		t.Errorf("rejection does not name the trace-file term: %q", reply)
 	}
 }
+
+// The fleet's JSON endpoints read bounded bodies: a body over the cap is
+// refused with 413 before a shard starts or a worker registers.
+func TestOversizedBodiesRejected(t *testing.T) {
+	// A well-formed JSON object padded past limit with whitespace, so only
+	// the size can be at fault.
+	oversized := func(limit int) io.Reader {
+		return io.MultiReader(strings.NewReader("{"), io.LimitReader(spaces{}, int64(limit)), strings.NewReader("}"))
+	}
+	w := NewWorker(nil)
+	wts := httptest.NewServer(w)
+	defer wts.Close()
+	c := NewCoordinator(fastOptions())
+	cts := httptest.NewServer(c)
+	defer cts.Close()
+	for _, tc := range []struct {
+		name, url string
+		limit     int
+	}{
+		{"worker /run", wts.URL + "/run", MaxRunRequestBytes},
+		{"coordinator /register", cts.URL + "/register", MaxRegistrationBytes},
+		{"coordinator /heartbeat", cts.URL + "/heartbeat", MaxRegistrationBytes},
+	} {
+		resp, err := http.Post(tc.url, "application/json", oversized(tc.limit))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized body -> %s, want 413", tc.name, resp.Status)
+		}
+	}
+	if n := w.Stats().ShardsRun; n != 0 {
+		t.Errorf("worker started %d shards for an oversized request", n)
+	}
+	if n := len(c.Workers()); n != 0 {
+		t.Errorf("coordinator registered %d workers from oversized bodies", n)
+	}
+}
+
+// spaces is an endless stream of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}

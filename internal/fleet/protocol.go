@@ -17,7 +17,10 @@
 package fleet
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
 
 	"colab/internal/cpu"
 	"colab/internal/experiment"
@@ -130,6 +133,30 @@ type runRequest struct {
 type streamLine struct {
 	Cell
 	Error string `json:"error,omitempty"`
+}
+
+// Request body bounds. A run request carries a sweep spec and, for a
+// reassigned shard, the coordinator's copy of that shard's checkpoint
+// journal (a few hundred bytes per completed cell), so its cap is
+// generous; a registration is one URL.
+const (
+	MaxRunRequestBytes   = 16 << 20
+	MaxRegistrationBytes = 4 << 10
+)
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes.
+// On failure it returns the status to answer with: 413 when the body is
+// over the limit, 400 when it is malformed.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge, err
+	case err != nil:
+		return http.StatusBadRequest, err
+	}
+	return http.StatusOK, nil
 }
 
 // registration is the body of a worker's POST to the coordinator's

@@ -91,8 +91,8 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req runRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(rw, "fleet: decoding run request: "+err.Error(), http.StatusBadRequest)
+	if code, err := decodeBody(rw, r, MaxRunRequestBytes, &req); err != nil {
+		http.Error(rw, "fleet: decoding run request: "+err.Error(), code)
 		return
 	}
 	w.shardsRun.Add(1)

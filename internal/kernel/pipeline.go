@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"colab/internal/sim"
@@ -156,11 +157,20 @@ type rqEntry struct {
 // allocator pushes, the selector pops. Entries keep insertion order (the
 // order COLAB-style criticality scans walk) while (vruntime, push-sequence)
 // gives CFS-style timeline ordering for PopMin/StealMax.
+//
+// An occupancy bitset tracks which queues are non-empty, so an idle core's
+// cross-queue scan (COLAB's tier sweep, the CFS idle-balance steal) costs
+// one word per 64 queues plus one visit per non-empty queue: NextQueued
+// walks a caller's QueueSet intersected with it in ascending queue order.
+// The bitset is a plain []uint64 rather than a task.Mask because Mask's
+// Set/Clear copy the spilled words on write and would allocate on the
+// dispatch path.
 type RunQueues struct {
 	qs    [][]rqEntry
 	seqs  []uint64
 	minVR []sim.Time
 	where map[*task.Thread]int
+	occ   []uint64 // bit i of occ[i/64] set iff qs[i] is non-empty
 }
 
 // NewRunQueues returns empty queues for n cores.
@@ -170,7 +180,44 @@ func NewRunQueues(n int) *RunQueues {
 		seqs:  make([]uint64, n),
 		minVR: make([]sim.Time, n),
 		where: make(map[*task.Thread]int, 16),
+		occ:   make([]uint64, queueWords(n)),
 	}
+}
+
+func queueWords(n int) int { return (n + 63) / 64 }
+
+// QueueSet returns a bitset over n queues with the listed queue indices
+// set, in the layout NextQueued reads. Stages build their scan sets (all
+// cores, one tier's cores) once at Start.
+func QueueSet(n int, ids []int) []uint64 {
+	set := make([]uint64, queueWords(n))
+	for _, id := range ids {
+		set[id>>6] |= 1 << (id & 63)
+	}
+	return set
+}
+
+// NextQueued returns the smallest queue index >= from that is in set (a
+// QueueSet over this RunQueues' queues) and non-empty, or -1 when there is
+// none. The loop
+//
+//	for i := q.NextQueued(set, 0); i >= 0; i = q.NextQueued(set, i+1)
+//
+// visits exactly the non-empty queues of set in ascending order, skipping
+// empty ones a word at a time.
+func (q *RunQueues) NextQueued(set []uint64, from int) int {
+	w := from >> 6
+	if w >= len(q.occ) {
+		return -1
+	}
+	word := set[w] & q.occ[w] &^ (1<<(from&63) - 1)
+	for word == 0 {
+		if w++; w >= len(q.occ) {
+			return -1
+		}
+		word = set[w] & q.occ[w]
+	}
+	return w<<6 | bits.TrailingZeros64(word)
 }
 
 // NumQueues returns the number of per-core queues.
@@ -192,6 +239,7 @@ func (q *RunQueues) Push(core int, t *task.Thread) {
 	q.seqs[core]++
 	q.qs[core] = append(q.qs[core], rqEntry{t: t, vr: t.VRuntime, seq: q.seqs[core]})
 	q.where[t] = core
+	q.occ[core>>6] |= 1 << (core & 63)
 }
 
 func entryLess(a, b rqEntry) bool {
@@ -205,6 +253,9 @@ func (q *RunQueues) removeAt(core, i int) *task.Thread {
 	es := q.qs[core]
 	t := es[i].t
 	q.qs[core] = append(es[:i], es[i+1:]...)
+	if len(q.qs[core]) == 0 {
+		q.occ[core>>6] &^= 1 << (core & 63)
+	}
 	delete(q.where, t)
 	return t
 }
@@ -367,6 +418,16 @@ func (pc *PipelineContext) Queues() *RunQueues { return pc.queues }
 
 // Hints returns the shared per-thread hint board.
 func (pc *PipelineContext) Hints() *HintBoard { return pc.hints }
+
+// TierQueueSets returns, per tier, the tier's cores as a QueueSet over the
+// shared queues: the scan sets of selectors that sweep tier by tier.
+func (pc *PipelineContext) TierQueueSets() [][]uint64 {
+	sets := make([][]uint64, pc.m.NumTiers())
+	for tier := range sets {
+		sets[tier] = QueueSet(pc.queues.NumQueues(), pc.m.TierCoreIDs(tier))
+	}
+	return sets
+}
 
 // Requeue re-places t after an affinity change: if t waits in a queue its
 // new mask forbids, it is dequeued, re-enqueued through the pipeline's

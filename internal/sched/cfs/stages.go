@@ -94,8 +94,8 @@ func (a *AllocatorStage) LeastLoadedAllowed(t *task.Thread) int { return a.least
 type SelectorStage struct {
 	opts    Options
 	pc      *kernel.PipelineContext
-	allIDs  []int
-	scratch []int // reused steal-order buffer (hot path: no per-call alloc)
+	allSet  []uint64 // every core, as a kernel.QueueSet
+	scratch []int    // reused steal-order buffer (hot path: no per-call alloc)
 }
 
 // NewSelector returns the CFS selector stage.
@@ -109,10 +109,12 @@ func (s *SelectorStage) Name() string { return "linux.selector" }
 // Start implements kernel.Stage.
 func (s *SelectorStage) Start(pc *kernel.PipelineContext) {
 	s.pc = pc
-	s.allIDs = s.allIDs[:0]
-	for i := 0; i < pc.Queues().NumQueues(); i++ {
-		s.allIDs = append(s.allIDs, i)
+	n := pc.Queues().NumQueues()
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
 	}
+	s.allSet = kernel.QueueSet(n, all)
 }
 
 // PickNext implements kernel.Selector: the local timeline first, else the
@@ -121,7 +123,7 @@ func (s *SelectorStage) PickNext(c *kernel.Core) *task.Thread {
 	if t := s.PopLocal(c.ID); t != nil {
 		return t
 	}
-	return s.StealInto(c.ID, s.allIDs)
+	return s.StealInto(c.ID, s.allSet)
 }
 
 // PopLocal removes and returns the leftmost thread of core's own queue
@@ -135,21 +137,22 @@ func (s *SelectorStage) PopLocal(core int) *task.Thread {
 }
 
 // StealInto steals the least-entitled thread runnable on core from the
-// busiest of the given source queues, nil when nothing is stealable. On an
-// active topology the idle balance is LLC-aware: nearer domains are
-// searched first (cheapest migration), busiest-first within one distance
-// band. Exported for selector stages with custom stealing rules (EAS).
-func (s *SelectorStage) StealInto(core int, from []int) *task.Thread {
+// busiest of the source queues in from (a kernel.QueueSet), nil when
+// nothing is stealable. On an active topology the idle balance is
+// LLC-aware: nearer domains are searched first (cheapest migration),
+// busiest-first within one distance band. Exported for selector stages
+// with custom stealing rules (EAS).
+func (s *SelectorStage) StealInto(core int, from []uint64) *task.Thread {
 	q := s.pc.Queues()
 	m := s.pc.Machine()
 	topoActive := m.TopoActive()
 	order := s.scratch[:0]
-	for _, i := range from {
-		if i != core && q.Len(i) > 0 {
+	for i := q.NextQueued(from, 0); i >= 0; i = q.NextQueued(from, i+1) {
+		if i != core {
 			order = append(order, i)
 		}
 	}
-	// Stable insertion sort so queues of equal rank keep their from-order
+	// Stable insertion sort so queues of equal rank keep ascending order
 	// (identical to sort.Slice on the small slices it small-sorts) without
 	// allocating a comparator per call. Flat machines rank busiest-first;
 	// an active topology ranks nearest-domain-first, then busiest.

@@ -275,6 +275,9 @@ type SelectorStage struct {
 	// in selection order: the core's own tier first, then the remaining
 	// tiers from the top of the machine down.
 	stealOrder [][]int
+	// tierSets[k] is tier k's cores as a kernel.QueueSet, so the sweep
+	// visits only the tier's non-empty queues.
+	tierSets [][]uint64
 }
 
 // NewSelector returns the COLAB selector stage.
@@ -290,6 +293,7 @@ func (s *SelectorStage) Start(pc *kernel.PipelineContext) {
 	s.pc = pc
 	nt := pc.Machine().NumTiers()
 	s.stealOrder = make([][]int, nt)
+	s.tierSets = pc.TierQueueSets()
 	for tier := 0; tier < nt; tier++ {
 		order := []int{tier}
 		for other := nt - 1; other >= 0; other-- {
@@ -309,9 +313,8 @@ func (s *SelectorStage) PickNext(c *kernel.Core) *task.Thread {
 	if s.opts.LocalOnlySelector {
 		return nil
 	}
-	m := s.pc.Machine()
 	for _, tier := range s.stealOrder[int(c.Kind)] {
-		if best := s.scanMaxBlame(m.TierCoreIDs(tier), c); best != nil {
+		if best := s.scanMaxBlame(s.tierSets[tier], c); best != nil {
 			if !s.pc.Queues().Remove(best) {
 				panic(fmt.Sprintf("colab: scanned thread %v vanished from the queues", best))
 			}
@@ -351,11 +354,16 @@ func (s *SelectorStage) takeMaxBlame(q, core int) *task.Thread {
 }
 
 // scanMaxBlame finds (without removing) the most blocking stealable thread
-// across the queues of the listed cores, allocation-free like takeMaxBlame.
-func (s *SelectorStage) scanMaxBlame(ids []int, c *kernel.Core) *task.Thread {
+// across the queues of set's cores, allocation-free like takeMaxBlame.
+// Only non-empty queues are visited, in ascending core order — the order
+// the full tier walk visited threads in. moreCritical is not transitive
+// (its fairness window), so the winner depends on that visit order, and
+// the scan must stay linear and order-preserving rather than become a heap
+// or index.
+func (s *SelectorStage) scanMaxBlame(set []uint64, c *kernel.Core) *task.Thread {
 	qs := s.pc.Queues()
 	var best *task.Thread
-	for _, id := range ids {
+	for id := qs.NextQueued(set, 0); id >= 0; id = qs.NextQueued(set, id+1) {
 		if id == c.ID {
 			continue
 		}

@@ -262,7 +262,8 @@ func (a *AllocatorStage) pickCore(t *task.Thread) int {
 // EAS suppresses up-migration while the cheap clusters still have headroom.
 type SelectorStage struct {
 	*cfs.SelectorStage
-	pc *kernel.PipelineContext
+	pc       *kernel.PipelineContext
+	tierSets [][]uint64 // per tier, its cores as a kernel.QueueSet
 }
 
 // NewSelector returns the EAS selector stage.
@@ -278,6 +279,7 @@ func (s *SelectorStage) Name() string { return "eas.selector" }
 func (s *SelectorStage) Start(pc *kernel.PipelineContext) {
 	s.SelectorStage.Start(pc)
 	s.pc = pc
+	s.tierSets = pc.TierQueueSets()
 }
 
 // PickNext implements kernel.Selector.
@@ -289,7 +291,7 @@ func (s *SelectorStage) PickNext(c *kernel.Core) *task.Thread {
 	if t := s.PopLocal(c.ID); t != nil {
 		return t
 	}
-	if t := s.StealInto(c.ID, m.TierCoreIDs(int(c.Kind))); t != nil {
+	if t := s.StealInto(c.ID, s.tierSets[c.Kind]); t != nil {
 		return t
 	}
 	for tier := 0; tier < int(c.Kind); tier++ {
@@ -300,7 +302,7 @@ func (s *SelectorStage) PickNext(c *kernel.Core) *task.Thread {
 		}
 	}
 	for tier := int(c.Kind) - 1; tier >= 0; tier-- {
-		if t := s.StealInto(c.ID, m.TierCoreIDs(tier)); t != nil {
+		if t := s.StealInto(c.ID, s.tierSets[tier]); t != nil {
 			return t
 		}
 	}

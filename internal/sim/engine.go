@@ -4,10 +4,7 @@
 // single virtual clock.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is simulated time in nanoseconds.
 type Time int64
@@ -51,40 +48,37 @@ func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 // that event.
 type Event struct {
 	at       Time
-	seq      uint64 // tie-break: FIFO among equal timestamps
 	fn       func()
 	canceled bool
-	fired    bool
 }
 
 // At returns the time the event is (or was) scheduled for.
 func (e *Event) At() Time { return e.at }
 
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
+// slot is one event-queue entry. The (at, seq) key sits inline so sifting
+// compares keys without dereferencing events; seq is the schedule order,
+// which breaks timestamp ties first-in first-out.
+type slot struct {
+	at  Time
+	seq uint64
+	ev  *Event
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*Event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+
+func (a slot) before(b slot) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Engine is the event loop. The zero value is not usable; call NewEngine.
+//
+// Pending events sit in a 4-ary min-heap keyed by (time, schedule order).
+// The key is a total order, so events fire in exactly that order whatever
+// the heap's shape: earliest first, ties first-scheduled first. A 4-ary
+// heap is half as deep as a binary one and each sift-down compares four
+// adjacent slots, which suits the deep queues of 128- and 256-core runs.
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   eventQueue
+	queue   []slot   // 4-ary min-heap: the children of i are 4i+1 .. 4i+4
 	free    []*Event // fired/collected events awaiting reuse
 	stopped bool
 	// Processed counts fired (non-cancelled) events, for tests and stats.
@@ -114,13 +108,63 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free = e.free[:n-1]
-		*ev = Event{at: t, seq: e.seq, fn: fn}
+		*ev = Event{at: t, fn: fn}
 	} else {
-		ev = &Event{at: t, seq: e.seq, fn: fn}
+		ev = &Event{at: t, fn: fn}
 	}
+	e.push(slot{at: t, seq: e.seq, ev: ev})
 	e.seq++
-	heap.Push(&e.queue, ev)
 	return ev
+}
+
+// push adds s to the heap, sifting it up past every later-keyed parent.
+func (e *Engine) push(s slot) {
+	q := append(e.queue, s)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !s.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = s
+	e.queue = q
+}
+
+// pop removes and returns the earliest-keyed event: the last slot moves
+// to the root and sifts down past every earlier-keyed child.
+func (e *Engine) pop() *Event {
+	q := e.queue
+	top := q[0].ev
+	n := len(q) - 1
+	last := q[n]
+	q[n] = slot{} // drop the event pointer from the dead tail
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 4*i + 1
+			if c >= n {
+				break
+			}
+			best := c
+			for j := c + 1; j < c+4 && j < n; j++ {
+				if q[j].before(q[best]) {
+					best = j
+				}
+			}
+			if !q[best].before(last) {
+				break
+			}
+			q[i] = q[best]
+			i = best
+		}
+		q[i] = last
+	}
+	e.queue = q
+	return top
 }
 
 // After schedules fn d nanoseconds from now.
@@ -153,13 +197,12 @@ func (e *Engine) recycle(ev *Event) {
 // (false when the queue is empty).
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
+		ev := e.pop()
 		if ev.canceled {
 			e.recycle(ev)
 			continue
 		}
 		e.now = ev.at
-		ev.fired = true
 		e.Processed++
 		ev.fn()
 		if e.PostStep != nil {
@@ -194,8 +237,8 @@ func (e *Engine) Run(maxEvents uint64) uint64 {
 func (e *Engine) RunUntil(deadline Time) {
 	for len(e.queue) > 0 {
 		next := e.queue[0]
-		if next.canceled {
-			e.recycle(heap.Pop(&e.queue).(*Event))
+		if next.ev.canceled {
+			e.recycle(e.pop())
 			continue
 		}
 		if next.at > deadline {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -175,5 +176,32 @@ func TestRandomScheduleProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkEngine measures the event queue alone in steady state: N events
+// stay pending and every op schedules one at a pseudo-random future time
+// and fires the earliest. Handlers do nothing, so the cost is the heap and
+// the event freelist; steady state is allocation-free.
+func BenchmarkEngine(b *testing.B) {
+	noop := func() {}
+	for _, n := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("pending=%d", n), func(b *testing.B) {
+			rng := mathx.NewRNG(1)
+			delays := make([]Time, 1024)
+			for i := range delays {
+				delays[i] = Time(1 + rng.IntN(100000))
+			}
+			e := NewEngine()
+			for i := 0; i < n; i++ {
+				e.After(delays[i%len(delays)], noop)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.After(delays[i%len(delays)], noop)
+				e.Step()
+			}
+		})
 	}
 }
