@@ -159,3 +159,31 @@ func TestBadFlagsFailCleanly(t *testing.T) {
 		}
 	}
 }
+
+// The -mode local stdout is pinned byte for byte; it is the same cell
+// line colab-serve's /run streams. Regenerate (intentional output changes
+// only):
+//
+//	GOLDEN_WRITE=1 go test ./cmd/colab-fleet -run TestLocalModeGolden
+func TestLocalModeGolden(t *testing.T) {
+	const path = "testdata/local.ndjson"
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), []string{
+		"-mode", "local", "-workload", "Sync-1,Comp-1", "-policy", "linux,colab", "-seed", "1,2",
+	}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	if os.Getenv("GOLDEN_WRITE") != "" {
+		if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Errorf("stdout differs from %s:\ngot:\n%s\nwant:\n%s", path, stdout.Bytes(), want)
+	}
+}

@@ -377,3 +377,47 @@ func TestTraceFileWorkloadsRejected(t *testing.T) {
 		t.Errorf("rejection does not name the trace-file term: %q", body)
 	}
 }
+
+// The /run stream is pinned byte for byte: one unclassified sweep and one
+// @class=-labelled sweep with the ?classes=1 trailer, each on a fresh
+// server. Regenerate (intentional output changes only):
+//
+//	GOLDEN_WRITE=1 go test ./cmd/colab-serve -run TestRunGolden
+func TestRunGolden(t *testing.T) {
+	for _, tc := range []struct{ file, query string }{
+		{"testdata/run.ndjson", "workload=Sync-1,Comp-1&policy=linux,colab&seed=1,2"},
+		{"testdata/run_classes.ndjson", "workload=interactive-burst,memory-churn&policy=linux,wash&seed=1&classes=1"},
+	} {
+		ts := httptest.NewServer(newServer(serverOptions{}))
+		resp, err := http.Get(ts.URL + "/run?" + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		ts.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("/run?%s -> %s, %v", tc.query, resp.Status, err)
+		}
+		checkGolden(t, tc.file, body)
+	}
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file when GOLDEN_WRITE is set.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if os.Getenv("GOLDEN_WRITE") != "" {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("output differs from %s:\ngot:\n%s\nwant:\n%s", path, got, want)
+	}
+}

@@ -446,3 +446,36 @@ func (spaces) Read(p []byte) (int, error) {
 	}
 	return len(p), nil
 }
+
+// One worker /run stream is pinned byte for byte. Regenerate (intentional
+// output changes only):
+//
+//	GOLDEN_WRITE=1 go test ./internal/fleet -run TestWorkerRunGolden
+func TestWorkerRunGolden(t *testing.T) {
+	const path = "testdata/worker_run.ndjson"
+	wts := httptest.NewServer(NewWorker(nil))
+	defer wts.Close()
+	body := `{"spec":{"workloads":["Sync-1","Comp-1"],"machines":["2B2S"],"policies":["linux","wash"],"seeds":[1,2]},"shard_index":1,"shard_count":2}`
+	resp, err := http.Post(wts.URL+"/run", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/run -> %s, %v", resp.Status, err)
+	}
+	if os.Getenv("GOLDEN_WRITE") != "" {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("stream differs from %s:\ngot:\n%s\nwant:\n%s", path, got, want)
+	}
+}
