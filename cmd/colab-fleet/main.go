@@ -23,30 +23,30 @@
 //	# housekeeping: drop duplicate records from a checkpoint journal
 //	colab-fleet -compact sweep.ndjson
 //
-// Cells stream to stdout as NDJSON (the colab-serve line format) in the
-// sweep's deterministic cross-product order; -o additionally writes the
+// Cells stream to stdout as NDJSON in the sweep's deterministic
+// cross-product order — the cell line colab-serve's /run streams too
+// (docs/API.md, "The cell line"); -o additionally writes the
 // final result set as CSV. Workers exit gracefully on SIGTERM, draining
 // in-flight shards.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	colab "colab"
-	"colab/internal/cpu"
+	"colab/internal/fleet"
 )
 
 func main() {
@@ -96,13 +96,27 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	case "worker":
 		err = runWorker(ctx, stderr, *addr, *coordinator, *advertise, *heartbeat, *drain, *cacheLimit)
 	case "coordinator", "local":
-		var opts []colab.ExperimentOption
-		if opts, err = sweepOptions(*workloads, *machines, *policies, *seeds, *workers); err == nil {
-			if *mode == "coordinator" {
-				err = runCoordinator(ctx, stdout, stderr, *addr, *shards, *minWorkers, *output, opts)
-			} else {
-				err = runSweep(ctx, stdout, *output, opts)
-			}
+		v := url.Values{"workload": {*workloads}, "machine": {*machines}, "policy": {*policies}, "seed": {*seeds}}
+		if *workers != 0 {
+			v.Set("workers", strconv.Itoa(*workers))
+		}
+		var (
+			req   fleet.Request
+			cells []fleet.Cell
+		)
+		collect := func(c fleet.Cell) error { cells = append(cells, c); return nil }
+		if req, err = fleet.ParseRequest(v); err != nil {
+			break
+		}
+		if *mode == "local" {
+			_, err = fleet.Stream(ctx, stdout, req, nil, collect)
+		} else if _, err = req.Spec.Batch(0, 0); err == nil {
+			// Resolved up front: a sweep no worker could run fails now,
+			// not once the fleet has formed.
+			err = runCoordinator(ctx, stdout, stderr, *addr, *shards, *minWorkers, req.Spec, collect)
+		}
+		if err == nil {
+			err = writeCSV(*output, cells)
 		}
 	default:
 		err = fmt.Errorf("unknown -mode %q (coordinator, worker, or local)", *mode)
@@ -113,54 +127,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	return 0
 }
-
-// sweepOptions translates the sweep flags into session options, with the
-// same spellings colab-serve accepts.
-func sweepOptions(workloads, machines, policies, seeds string, workers int) ([]colab.ExperimentOption, error) {
-	split := func(s string) []string {
-		var out []string
-		for _, part := range strings.Split(s, ",") {
-			if part = strings.TrimSpace(part); part != "" {
-				out = append(out, part)
-			}
-		}
-		return out
-	}
-	w := split(workloads)
-	if len(w) == 0 {
-		return nil, fmt.Errorf("at least one -workload is required (a registered name or a scenario-grammar spec)")
-	}
-	opts := []colab.ExperimentOption{colab.WithWorkloads(w...)}
-	for _, name := range split(machines) {
-		cfg, ok := cpu.ConfigByName(name)
-		if !ok {
-			known := make([]string, 0, 4)
-			for _, c := range cpu.NamedConfigs() {
-				known = append(known, c.Name)
-			}
-			return nil, fmt.Errorf("unknown machine %q (known: %s)", name, strings.Join(known, ", "))
-		}
-		opts = append(opts, colab.WithMachine(cfg))
-	}
-	if p := split(policies); len(p) > 0 {
-		opts = append(opts, colab.WithPolicies(p...))
-	}
-	for _, raw := range split(seeds) {
-		n, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("seed %q is not an unsigned integer", raw)
-		}
-		opts = append(opts, colab.WithSeeds(n))
-	}
-	if workers > 0 {
-		opts = append(opts, colab.WithWorkers(workers))
-	}
-	return opts, nil
-}
-
-// readHeaderTimeout bounds how long a peer may take to send its request
-// headers, so a slow or stalled client cannot hold a connection open.
-const readHeaderTimeout = 10 * time.Second
 
 // runWorker serves a worker daemon until ctx is cancelled (SIGTERM),
 // then drains in-flight shards gracefully.
@@ -177,7 +143,7 @@ func runWorker(ctx context.Context, stderr io.Writer, addr, coordinator, adverti
 	if advertise == "" {
 		advertise = "http://" + hostPort(ln.Addr().String(), addr)
 	}
-	srv := &http.Server{Handler: w, ReadHeaderTimeout: readHeaderTimeout}
+	srv := &http.Server{Handler: w, ReadHeaderTimeout: fleet.ReadHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	go colab.RegisterFleetWorker(ctx, nil, coordinator, advertise, heartbeat)
@@ -210,69 +176,45 @@ func hostPort(bound, requested string) string {
 	return net.JoinHostPort(host, port)
 }
 
-// runCoordinator serves the coordinator, waits for the fleet to form,
-// runs the sweep across it, and streams/writes the results.
-func runCoordinator(ctx context.Context, stdout, stderr io.Writer, addr string, shards, minWorkers int, output string, opts []colab.ExperimentOption) error {
+// runCoordinator serves the coordinator, waits for the fleet to form, and
+// streams the sweep's cells from across it to stdout through each.
+func runCoordinator(ctx context.Context, stdout, stderr io.Writer, addr string, shards, minWorkers int, spec fleet.Spec, each func(fleet.Cell) error) error {
 	f := colab.NewFleet(colab.FleetOptions{Shards: shards})
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: f, ReadHeaderTimeout: readHeaderTimeout}
+	srv := &http.Server{Handler: f, ReadHeaderTimeout: fleet.ReadHeaderTimeout}
 	defer srv.Close()
 	go srv.Serve(ln)
 	fmt.Fprintf(stderr, "colab-fleet: coordinator on %s waiting for %d worker(s)\n", ln.Addr(), minWorkers)
 	if err := f.WaitWorkers(ctx, minWorkers); err != nil {
 		return fmt.Errorf("waiting for %d worker(s): %w", minWorkers, err)
 	}
-	return runSweep(ctx, stdout, output, append(opts, colab.WithFleet(f)))
+	_, err = f.Stream(ctx, stdout, spec, each)
+	return err
 }
 
-// cellLine is the NDJSON stream format, shared with colab-serve.
-type cellLine struct {
-	Workload string  `json:"workload"`
-	Machine  string  `json:"machine"`
-	Policy   string  `json:"policy"`
-	Seed     uint64  `json:"seed"`
-	HANTT    float64 `json:"h_antt"`
-	HSTP     float64 `json:"h_stp"`
-	CellKey  string  `json:"cell_key"`
-	Cached   bool    `json:"cached"`
-}
-
-// runSweep executes the session (fleet-backed or local, depending on
-// opts), streaming cells to stdout as NDJSON and writing CSV to output.
-func runSweep(ctx context.Context, stdout io.Writer, output string, opts []colab.ExperimentOption) error {
-	enc := json.NewEncoder(stdout)
-	opts = append(opts, colab.WithObserver(func(c colab.ExperimentResult) {
-		enc.Encode(cellLine{
-			Workload: c.Run.Workload,
-			Machine:  c.Run.Machine,
-			Policy:   c.Run.Policy,
-			Seed:     c.Run.Seed,
-			HANTT:    c.Score.HANTT,
-			HSTP:     c.Score.HSTP,
-			CellKey:  c.Key.String(),
-			Cached:   c.Cached,
-		})
-		if f, ok := stdout.(interface{ Sync() error }); ok {
-			f.Sync()
+// writeCSV writes the streamed cells to path (none when empty) in the
+// session API's CSV form.
+func writeCSV(path string, cells []fleet.Cell) error {
+	if path == "" {
+		return nil
+	}
+	res := &colab.ExperimentResults{Cells: make([]colab.ExperimentResult, len(cells))}
+	for i, c := range cells {
+		res.Cells[i] = colab.ExperimentResult{
+			Run:   colab.ExperimentRun{Workload: c.Workload, Machine: c.Machine, Policy: c.Policy, Seed: c.Seed},
+			Score: colab.MixScore{HANTT: c.HANTT, HSTP: c.HSTP},
 		}
-	}))
-	res, err := colab.NewExperiment(opts...).Run(ctx)
+	}
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if output != "" {
-		f, err := os.Create(output)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+	if err := res.WriteCSV(f); err != nil {
+		f.Close()
+		return err
 	}
-	return nil
+	return f.Close()
 }

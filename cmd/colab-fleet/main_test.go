@@ -3,12 +3,16 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"colab/internal/wiretest"
 )
 
 // freePort reserves a loopback port for a mode under test.
@@ -22,26 +26,27 @@ func freePort(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// TestLocalModeWritesCSV pins the in-process path: NDJSON on stdout, CSV
-// at -o, exit 0.
+// TestLocalModeWritesCSV pins the in-process path: NDJSON on stdout, byte
+// for byte the cell line colab-serve's /run streams, CSV at -o, exit 0.
+// Regenerate the stdout golden (intentional output changes only):
+//
+//	GOLDEN_WRITE=1 go test ./cmd/colab-fleet -run TestLocalModeWritesCSV
 func TestLocalModeWritesCSV(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "local.csv")
 	var stdout, stderr bytes.Buffer
 	code := run(context.Background(), []string{
-		"-mode", "local", "-workload", "Sync-1", "-policy", "linux", "-seed", "1", "-o", out,
+		"-mode", "local", "-workload", "Sync-1,Comp-1", "-policy", "linux,colab", "-seed", "1,2", "-o", out,
 	}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
-	if lines := strings.Split(strings.TrimSpace(stdout.String()), "\n"); len(lines) != 1 {
-		t.Errorf("stdout has %d NDJSON lines, want 1:\n%s", len(lines), stdout.String())
-	}
+	wiretest.Golden(t, "testdata/local.ndjson", stdout.Bytes())
 	data, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lines := strings.Split(strings.TrimSpace(string(data)), "\n"); len(lines) != 2 {
-		t.Errorf("csv has %d lines, want header + 1 cell:\n%s", len(lines), data)
+	if lines := strings.Split(strings.TrimSpace(string(data)), "\n"); len(lines) != 9 {
+		t.Errorf("csv has %d lines, want header + 8 cells:\n%s", len(lines), data)
 	}
 }
 
@@ -158,32 +163,14 @@ func TestBadFlagsFailCleanly(t *testing.T) {
 			t.Errorf("args %v failed silently", tc)
 		}
 	}
-}
-
-// The -mode local stdout is pinned byte for byte; it is the same cell
-// line colab-serve's /run streams. Regenerate (intentional output changes
-// only):
-//
-//	GOLDEN_WRITE=1 go test ./cmd/colab-fleet -run TestLocalModeGolden
-func TestLocalModeGolden(t *testing.T) {
-	const path = "testdata/local.ndjson"
-	var stdout, stderr bytes.Buffer
-	if code := run(context.Background(), []string{
-		"-mode", "local", "-workload", "Sync-1,Comp-1", "-policy", "linux,colab", "-seed", "1,2",
-	}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
-	}
-	if os.Getenv("GOLDEN_WRITE") != "" {
-		if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
+	// The bad sweeps every surface refuses with the same message.
+	wiretest.Refuses(t, "1 colab-fleet: ", func(v url.Values) (string, bool) {
+		args := []string{"-mode", "local"}
+		for flag, vals := range v {
+			args = append(args, "-"+flag, strings.Join(vals, ","))
 		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(stdout.Bytes(), want) {
-		t.Errorf("stdout differs from %s:\ngot:\n%s\nwant:\n%s", path, stdout.Bytes(), want)
-	}
+		var stdout, stderr bytes.Buffer
+		code := run(context.Background(), args, &stdout, &stderr)
+		return fmt.Sprint(code, " ", strings.TrimSpace(stderr.String())), true
+	})
 }

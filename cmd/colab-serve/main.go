@@ -1,8 +1,10 @@
-// Command colab-serve exposes the experiment session API as an HTTP
-// service: POST (or GET) a sweep spec — scenario-grammar workloads,
-// policy-composition strings, named machine shapes, seeds — to /run and
-// the per-cell scores stream back as NDJSON in the sweep's deterministic
-// cross-product order, each line flushed as its cell completes.
+// Command colab-serve exposes sweeps as an HTTP service: POST (or GET) a
+// sweep spec — scenario-grammar workloads, policy-composition strings,
+// named machine shapes, seeds — to /run and the per-cell scores stream
+// back as NDJSON in the sweep's deterministic cross-product order, each
+// line flushed as its cell completes. /run parses its query into the
+// fleet wire spec and runs it the way a colab-fleet worker runs a shard,
+// so both stream the same cell line (docs/API.md, "The cell line").
 //
 // All requests share one content-addressed cell cache keyed by the
 // canonical cell coordinates (see colab.CellKey): a repeated request —
@@ -24,7 +26,7 @@
 //
 // Endpoints:
 //
-//	GET/POST /run      stream one NDJSON object per cell (see cellLine);
+//	GET/POST /run      stream one NDJSON cell line per cell;
 //	                   cells carry the spec's @class= label, and with
 //	                   ?classes=1 the stream ends with the per-class
 //	                   grouping (one classLine per class x policy)
@@ -40,21 +42,14 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
 
 	colab "colab"
-	"colab/internal/cpu"
+	"colab/internal/fleet"
 	"colab/internal/mathx"
-	"colab/internal/workload"
 )
-
-// readHeaderTimeout bounds how long a client may take to send its request
-// headers, so a slow or stalled client cannot hold a connection open.
-const readHeaderTimeout = 10 * time.Second
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
@@ -63,7 +58,7 @@ func main() {
 	drain := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget for in-flight streams")
 	flag.Parse()
 	s := newServer(serverOptions{maxConcurrent: *maxConcurrent, cacheLimit: *cacheLimit})
-	srv := &http.Server{Addr: *addr, Handler: s, ReadHeaderTimeout: readHeaderTimeout}
+	srv := &http.Server{Addr: *addr, Handler: s, ReadHeaderTimeout: fleet.ReadHeaderTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -126,22 +121,6 @@ func newServer(opts serverOptions) *server {
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// cellLine is one streamed result: the cell's sweep coordinates, its
-// scores, its canonical content address, and whether the cache (or a
-// checkpoint journal) answered it. Class carries the workload spec's
-// @class= label (empty for unclassified scenarios).
-type cellLine struct {
-	Workload string  `json:"workload"`
-	Class    string  `json:"class,omitempty"`
-	Machine  string  `json:"machine"`
-	Policy   string  `json:"policy"`
-	Seed     uint64  `json:"seed"`
-	HANTT    float64 `json:"h_antt"`
-	HSTP     float64 `json:"h_stp"`
-	CellKey  string  `json:"cell_key"`
-	Cached   bool    `json:"cached"`
-}
-
 // classLine is one row of the ?classes=1 trailer: the ClassTable grouping
 // of the streamed cells, geomeaned per (class, policy) in first-seen
 // stream order.
@@ -154,120 +133,31 @@ type classLine struct {
 }
 
 // classLines folds the streamed cells into the per-class grouping.
-func classLines(cells []cellLine) []classLine {
+func classLines(cells []fleet.Cell) []classLine {
 	type key struct{ class, policy string }
-	var out []classLine
-	groups := make(map[key][]cellLine)
-	var order []key
+	index := make(map[key]int)
+	var (
+		out       []classLine
+		antt, stp [][]float64
+	)
 	for _, c := range cells {
-		class := c.Class
-		if class == "" {
-			class = "unclassified"
+		if c.Class == "" {
+			c.Class = "unclassified"
 		}
-		k := key{class, c.Policy}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+		i, ok := index[key{c.Class, c.Policy}]
+		if !ok {
+			i = len(out)
+			index[key{c.Class, c.Policy}] = i
+			out = append(out, classLine{Class: c.Class, Policy: c.Policy})
+			antt, stp = append(antt, nil), append(stp, nil)
 		}
-		groups[k] = append(groups[k], c)
+		out[i].Cells++
+		antt[i], stp[i] = append(antt[i], c.HANTT), append(stp[i], c.HSTP)
 	}
-	for _, k := range order {
-		g := groups[k]
-		antt := make([]float64, len(g))
-		stp := make([]float64, len(g))
-		for i, c := range g {
-			antt[i], stp[i] = c.HANTT, c.HSTP
-		}
-		out = append(out, classLine{
-			Class: k.class, Policy: k.policy, Cells: len(g),
-			HANTT: mathx.GeoMean(antt), HSTP: mathx.GeoMean(stp),
-		})
+	for i := range out {
+		out[i].HANTT, out[i].HSTP = mathx.GeoMean(antt[i]), mathx.GeoMean(stp[i])
 	}
 	return out
-}
-
-// splitList flattens repeated and comma-separated query values into one
-// trimmed list: ?policy=linux,wash&policy=colab is three policies.
-func splitList(values []string) []string {
-	var out []string
-	for _, v := range values {
-		for _, part := range strings.Split(v, ",") {
-			if part = strings.TrimSpace(part); part != "" {
-				out = append(out, part)
-			}
-		}
-	}
-	return out
-}
-
-// optionsFromQuery translates the request's query parameters into
-// session options, plus the resolved workload-name -> @class= label map
-// the NDJSON stream annotates cells with. Unknown machine names and
-// malformed numbers are caught here; workload and policy spellings are
-// validated by Run itself.
-func (s *server) optionsFromQuery(q map[string][]string) ([]colab.ExperimentOption, map[string]string, error) {
-	opts := []colab.ExperimentOption{colab.WithCellCache(s.cache)}
-	workloads := splitList(q["workload"])
-	if len(workloads) == 0 {
-		return nil, nil, fmt.Errorf("at least one workload parameter is required (a registered name or a scenario-grammar spec)")
-	}
-	classOf := make(map[string]string)
-	for _, w := range workloads {
-		// Unresolvable workloads fall through: Run reports them with the
-		// registered inventories.
-		if spec, err := workload.ResolveSpec(w); err == nil {
-			if terms := spec.TraceFiles(); len(terms) != 0 {
-				return nil, nil, fmt.Errorf("workload %q replays the local trace file of term %q; the service resolves workloads by name, so inline the times with @arrive=trace(...)", w, terms[0])
-			}
-			classOf[spec.Name] = string(spec.Class)
-		}
-	}
-	opts = append(opts, colab.WithWorkloads(workloads...))
-	if names := splitList(q["machine"]); len(names) > 0 {
-		var cfgs []colab.Config
-		for _, name := range names {
-			cfg, ok := cpu.ConfigByName(name)
-			if !ok {
-				known := make([]string, 0, 4)
-				for _, c := range cpu.NamedConfigs() {
-					known = append(known, c.Name)
-				}
-				return nil, nil, fmt.Errorf("unknown machine %q (known: %s)", name, strings.Join(known, ", "))
-			}
-			cfgs = append(cfgs, cfg)
-		}
-		opts = append(opts, colab.WithMachines(cfgs...))
-	}
-	if policies := splitList(q["policy"]); len(policies) > 0 {
-		opts = append(opts, colab.WithPolicies(policies...))
-	}
-	if raw := splitList(q["seed"]); len(raw) > 0 {
-		var seeds []uint64
-		for _, v := range raw {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("seed %q is not an unsigned integer", v)
-			}
-			seeds = append(seeds, n)
-		}
-		opts = append(opts, colab.WithSeeds(seeds...))
-	}
-	if v := strings.TrimSpace(strings.Join(q["workers"], "")); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			return nil, nil, fmt.Errorf("workers %q is not a positive integer", v)
-		}
-		opts = append(opts, colab.WithWorkers(n))
-	}
-	idxRaw, cntRaw := q["shard_index"], q["shard_count"]
-	if len(idxRaw) > 0 || len(cntRaw) > 0 {
-		idx, err1 := strconv.Atoi(strings.Join(idxRaw, ""))
-		cnt, err2 := strconv.Atoi(strings.Join(cntRaw, ""))
-		if err1 != nil || err2 != nil {
-			return nil, nil, fmt.Errorf("shard_index and shard_count must be set together as integers")
-		}
-		opts = append(opts, colab.WithShard(idx, cnt))
-	}
-	return opts, classOf, nil
 }
 
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -298,76 +188,55 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	opts, classOf, err := s.optionsFromQuery(r.Form)
+	req, err := fleet.ParseRequest(r.Form)
+	var classes string
+	if err == nil {
+		classes, err = fleet.OneValue(r.Form, "classes")
+	}
 	if err != nil {
 		http.Error(w, "colab-serve: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	wantClasses := false
-	if v := strings.TrimSpace(strings.Join(r.Form["classes"], "")); v != "" && v != "0" && v != "false" {
-		wantClasses = true
-	}
+	wantClasses := classes != "" && classes != "0" && classes != "false"
 
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	streamed := 0
-	var collected []cellLine
-	opts = append(opts, colab.WithObserver(func(c colab.ExperimentResult) {
-		if streamed == 0 {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-		}
-		streamed++
+	var collected []fleet.Cell
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	n, err := fleet.Stream(r.Context(), w, req, s.cache, func(c fleet.Cell) error {
 		s.cellsServed.Add(1)
-		line := cellLine{
-			Workload: c.Run.Workload,
-			Class:    classOf[c.Run.Workload],
-			Machine:  c.Run.Machine,
-			Policy:   c.Run.Policy,
-			Seed:     c.Run.Seed,
-			HANTT:    c.Score.HANTT,
-			HSTP:     c.Score.HSTP,
-			CellKey:  c.Key.String(),
-			Cached:   c.Cached,
-		}
 		if wantClasses {
-			collected = append(collected, line)
+			collected = append(collected, c)
 		}
-		enc.Encode(line)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}))
-	if _, err := colab.NewExperiment(opts...).Run(r.Context()); err != nil {
-		if streamed == 0 {
+		return nil
+	})
+	if err != nil {
+		if n == 0 {
 			// Nothing written yet: a bad spec (unknown workload or policy,
-			// invalid shard coordinates) is still a clean 400.
+			// invalid shard coordinates) is still a clean 400. Later
+			// failures went out in-band as the stream's last line.
 			http.Error(w, "colab-serve: "+err.Error(), http.StatusBadRequest)
-			return
 		}
-		// Mid-stream failure: the status line is gone, so report in-band.
-		enc.Encode(map[string]string{"error": err.Error()})
 		return
 	}
 	if wantClasses {
 		// The class trailer: the ClassTable grouping of the cells just
 		// streamed, one NDJSON object per (class, policy) group.
+		enc := json.NewEncoder(w)
 		for _, cl := range classLines(collected) {
 			enc.Encode(cl)
-		}
-		if flusher != nil {
-			flusher.Flush()
 		}
 	}
 }
 
+// statsReply is the /stats body.
+type statsReply struct {
+	Requests    uint64           `json:"requests"`
+	CellsServed uint64           `json:"cells_served"`
+	Rejected    uint64           `json:"rejected"`
+	Inflight    int64            `json:"inflight"`
+	Cache       colab.CacheStats `json:"cache"`
+}
+
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(struct {
-		Requests    uint64           `json:"requests"`
-		CellsServed uint64           `json:"cells_served"`
-		Rejected    uint64           `json:"rejected"`
-		Inflight    int64            `json:"inflight"`
-		Cache       colab.CacheStats `json:"cache"`
-	}{s.requests.Load(), s.cellsServed.Load(), s.rejected.Load(), s.inflight.Load(), s.cache.Stats()})
+	json.NewEncoder(w).Encode(statsReply{s.requests.Load(), s.cellsServed.Load(), s.rejected.Load(), s.inflight.Load(), s.cache.Stats()})
 }

@@ -15,15 +15,9 @@ import (
 	"testing"
 
 	colab "colab"
+	"colab/internal/fleet"
+	"colab/internal/wiretest"
 )
-
-type statsReply struct {
-	Requests    uint64           `json:"requests"`
-	CellsServed uint64           `json:"cells_served"`
-	Rejected    uint64           `json:"rejected"`
-	Inflight    int64            `json:"inflight"`
-	Cache       colab.CacheStats `json:"cache"`
-}
 
 func getStats(t *testing.T, ts *httptest.Server) statsReply {
 	t.Helper()
@@ -39,7 +33,7 @@ func getStats(t *testing.T, ts *httptest.Server) statsReply {
 	return s
 }
 
-func runCells(t *testing.T, ts *httptest.Server, query string) []cellLine {
+func runCells(t *testing.T, ts *httptest.Server, query string) []fleet.Cell {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/run?" + query)
 	if err != nil {
@@ -52,10 +46,10 @@ func runCells(t *testing.T, ts *httptest.Server, query string) []cellLine {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("content type %q, want application/x-ndjson", ct)
 	}
-	var cells []cellLine
+	var cells []fleet.Cell
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		var c cellLine
+		var c fleet.Cell
 		if err := json.Unmarshal(sc.Bytes(), &c); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
@@ -88,14 +82,14 @@ func TestRunStreamsAndCaches(t *testing.T) {
 			t.Errorf("cell %d is (%s, seed %d), want (%s, seed %d)",
 				i, c.Policy, c.Seed, wantOrder[i].policy, wantOrder[i].seed)
 		}
-		if c.Workload != "Sync-1" || c.Machine == "" || c.CellKey == "" {
+		if c.Workload != "Sync-1" || c.Machine == "" || c.Key == "" {
 			t.Errorf("cell %d incomplete: %+v", i, c)
 		}
 		if c.Cached {
 			t.Errorf("cold-cache cell %d claims cached", i)
 		}
-		if _, err := colab.ParseCellKey(c.CellKey); err != nil {
-			t.Errorf("cell %d key %q does not parse: %v", i, c.CellKey, err)
+		if _, err := colab.ParseCellKey(c.Key); err != nil {
+			t.Errorf("cell %d key %q does not parse: %v", i, c.Key, err)
 		}
 	}
 
@@ -136,8 +130,8 @@ func TestCacheIsSpellingIndependent(t *testing.T) {
 	if len(a) != 1 || len(b) != 1 {
 		t.Fatalf("got %d and %d cells, want 1 each", len(a), len(b))
 	}
-	if a[0].CellKey != b[0].CellKey {
-		t.Fatalf("spellings produced distinct keys:\n%s\n%s", a[0].CellKey, b[0].CellKey)
+	if a[0].Key != b[0].Key {
+		t.Fatalf("spellings produced distinct keys:\n%s\n%s", a[0].Key, b[0].Key)
 	}
 	if !b[0].Cached {
 		t.Error("respelled request missed the cache")
@@ -159,10 +153,10 @@ func TestShardedRequests(t *testing.T) {
 	for idx := 0; idx < 2; idx++ {
 		cells := runCells(t, ts, base+"&shard_count=2&shard_index="+string(rune('0'+idx)))
 		for _, c := range cells {
-			if seen[c.CellKey] {
-				t.Errorf("cell %s served by two shards", c.CellKey)
+			if seen[c.Key] {
+				t.Errorf("cell %s served by two shards", c.Key)
 			}
-			seen[c.CellKey] = true
+			seen[c.Key] = true
 		}
 		total += len(cells)
 	}
@@ -175,13 +169,14 @@ func TestBadRequests(t *testing.T) {
 	ts := httptest.NewServer(newServer(serverOptions{}))
 	defer ts.Close()
 	for _, tc := range []struct{ name, query string }{
-		{"no workload", "policy=linux"},
-		{"unknown machine", "workload=Sync-1&machine=8B8S"},
-		{"bad seed", "workload=Sync-1&seed=minusone"},
 		{"unknown workload", "workload=no-such-benchmark:4"},
 		{"unknown policy", "workload=Sync-1&policy=no-such-policy"},
 		{"bad shard", "workload=Sync-1&shard_index=5&shard_count=2"},
 		{"bad workers", "workload=Sync-1&workers=0"},
+		{"repeated workers", "workload=Sync-1&workers=1&workers=2"},
+		{"repeated shard_index", "workload=Sync-1&shard_index=1&shard_index=0&shard_count=20"},
+		{"repeated shard_count", "workload=Sync-1&shard_index=0&shard_count=2&shard_count=0"},
+		{"repeated classes", "workload=Sync-1&classes=1&classes=1"},
 	} {
 		resp, err := http.Get(ts.URL + "/run?" + tc.query)
 		if err != nil {
@@ -192,6 +187,17 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: /run?%s -> %s, want 400", tc.name, tc.query, resp.Status)
 		}
 	}
+	// No workload, unknown machine, bad seed, trace-file replay: a 400 with
+	// the message every surface gives.
+	wiretest.Refuses(t, "400 colab-serve: ", func(v url.Values) (string, bool) {
+		resp, err := http.Get(ts.URL + "/run?" + v.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return fmt.Sprint(resp.StatusCode, " ", strings.TrimSpace(string(body))), true
+	})
 }
 
 func TestHealthz(t *testing.T) {
@@ -292,7 +298,7 @@ func TestRunClassColumnsAndGrouping(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/run -> %s", resp.Status)
 	}
-	var cells []cellLine
+	var cells []fleet.Cell
 	var groups []classLine
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
@@ -307,7 +313,7 @@ func TestRunClassColumnsAndGrouping(t *testing.T) {
 		if len(groups) > 0 {
 			t.Fatalf("cell line %q after the class trailer began", sc.Text())
 		}
-		var c cellLine
+		var c fleet.Cell
 		if err := json.Unmarshal(sc.Bytes(), &c); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
@@ -345,11 +351,13 @@ func TestRunClassColumnsAndGrouping(t *testing.T) {
 	}
 }
 
+// List parameters split on commas and repeat: ?policy=a, b&policy=c is
+// three policies, blanks dropped.
 func TestSplitList(t *testing.T) {
-	got := splitList([]string{"a, b", "", "c", " , d"})
+	req, err := fleet.ParseRequest(url.Values{"policy": {"a, b", "", "c", " , d"}})
 	want := []string{"a", "b", "c", "d"}
-	if strings.Join(got, "|") != strings.Join(want, "|") {
-		t.Errorf("splitList = %v, want %v", got, want)
+	if err != nil || strings.Join(req.Spec.Policies, "|") != strings.Join(want, "|") {
+		t.Errorf("policies = %v (%v), want %v", req.Spec.Policies, err, want)
 	}
 }
 
@@ -378,46 +386,16 @@ func TestTraceFileWorkloadsRejected(t *testing.T) {
 	}
 }
 
-// The /run stream is pinned byte for byte: one unclassified sweep and one
-// @class=-labelled sweep with the ?classes=1 trailer, each on a fresh
-// server. Regenerate (intentional output changes only):
+// The /run stream is pinned byte for byte: an unclassified sweep, and a
+// classified one with the ?classes=1 trailer. Regenerate (intentional
+// output changes only):
 //
 //	GOLDEN_WRITE=1 go test ./cmd/colab-serve -run TestRunGolden
 func TestRunGolden(t *testing.T) {
-	for _, tc := range []struct{ file, query string }{
-		{"testdata/run.ndjson", "workload=Sync-1,Comp-1&policy=linux,colab&seed=1,2"},
-		{"testdata/run_classes.ndjson", "workload=interactive-burst,memory-churn&policy=linux,wash&seed=1&classes=1"},
-	} {
-		ts := httptest.NewServer(newServer(serverOptions{}))
-		resp, err := http.Get(ts.URL + "/run?" + tc.query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		ts.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("/run?%s -> %s, %v", tc.query, resp.Status, err)
-		}
-		checkGolden(t, tc.file, body)
-	}
-}
-
-// checkGolden compares got with the golden file at path, or rewrites the
-// file when GOLDEN_WRITE is set.
-func checkGolden(t *testing.T, path string, got []byte) {
-	t.Helper()
-	if os.Getenv("GOLDEN_WRITE") != "" {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("output differs from %s:\ngot:\n%s\nwant:\n%s", path, got, want)
-	}
+	ts := httptest.NewServer(newServer(serverOptions{}))
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/run?workload=Sync-1,Comp-1&policy=linux,colab&seed=1,2")
+	wiretest.GoldenReply(t, "testdata/run.ndjson", resp, err)
+	resp, err = http.Get(ts.URL + "/run?workload=interactive-burst,memory-churn&policy=linux,wash&seed=1&classes=1")
+	wiretest.GoldenReply(t, "testdata/run_classes.ndjson", resp, err)
 }

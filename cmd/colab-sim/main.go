@@ -140,10 +140,4 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-func configNames() string {
-	var out []string
-	for _, c := range cpu.NamedConfigs() {
-		out = append(out, c.Name)
-	}
-	return strings.Join(out, ", ")
-}
+func configNames() string { return strings.Join(cpu.NamedConfigNames(), ", ") }

@@ -136,12 +136,8 @@ func describeSpec(stdout io.Writer, input string) error {
 		// name: surface the registered machine inventory alongside the
 		// parse error (benchmarks are listed by the bare command).
 		if !strings.ContainsAny(input, ":+@(") {
-			var known []string
-			for _, c := range cpu.NamedConfigs() {
-				known = append(known, c.Name)
-			}
 			return fmt.Errorf("%q is not a registered benchmark, machine, or scenario (machines: %s): %w",
-				input, strings.Join(known, ", "), err)
+				input, strings.Join(cpu.NamedConfigNames(), ", "), err)
 		}
 		return err
 	}

@@ -217,18 +217,7 @@ func (e *Experiment) matrix() (specs []workload.Spec, machines []Config, policie
 		}
 		specs = append(specs, spec)
 	}
-	machines = e.machines
-	if len(machines) == 0 {
-		machines = []Config{Config2B2S}
-	}
-	policies = e.policies
-	if len(policies) == 0 {
-		policies = PaperPolicies()
-	}
-	seeds = e.seeds
-	if len(seeds) == 0 {
-		seeds = []uint64{1}
-	}
+	machines, policies, seeds = experiment.DefaultAxes(e.machines, e.policies, e.seeds)
 	return specs, machines, policies, seeds, nil
 }
 

@@ -6,10 +6,8 @@ import (
 	"net/http"
 	"time"
 
-	"colab/internal/cpu"
 	"colab/internal/experiment"
 	"colab/internal/fleet"
-	"colab/internal/workload"
 )
 
 // Fleet is a multi-host sweep coordinator: an http.Handler that workers
@@ -91,8 +89,8 @@ func WithFleet(f *Fleet) ExperimentOption {
 	return func(e *Experiment) { e.fleet = f }
 }
 
-// fleetSpec renders the session as the fleet wire spec, validating that
-// every axis survives travelling by name.
+// fleetSpec renders the session as the fleet wire spec, refusing the
+// options that only make sense in-process.
 func (e *Experiment) fleetSpec() (fleet.Spec, error) {
 	switch {
 	case e.tracer != nil:
@@ -106,52 +104,27 @@ func (e *Experiment) fleetSpec() (fleet.Spec, error) {
 	case e.shardCount != 0 || e.shardIdx != 0:
 		return fleet.Spec{}, fmt.Errorf("colab: WithShard cannot combine with WithFleet (the fleet shards the sweep itself)")
 	}
-	if len(e.workloads) == 0 {
-		return fleet.Spec{}, fmt.Errorf("colab: experiment has no workloads (use WithWorkloads)")
-	}
-	for _, w := range e.workloads {
-		spec, err := workload.ResolveSpec(w)
-		if err != nil {
-			continue // Run reports unresolvable workloads with full context.
-		}
-		if terms := spec.TraceFiles(); len(terms) != 0 {
-			return fleet.Spec{}, fmt.Errorf("colab: workload %q replays the local trace file of term %q and cannot travel the fleet wire by name (inline the times with @arrive=trace(...) instead)", w, terms[0])
-		}
-	}
-	machines := e.machines
-	if len(machines) == 0 {
-		machines = []Config{Config2B2S}
-	}
-	names := make([]string, len(machines))
-	for i, cfg := range machines {
-		reg, ok := cpu.ConfigByName(cfg.Name)
-		if !ok {
-			return fleet.Spec{}, fmt.Errorf("colab: machine %q is not a named shape — fleet sweeps resolve machines by name on the workers (see NamedConfigs)", cfg.Name)
-		}
-		if reg.Fingerprint() != cfg.Fingerprint() {
+	// The wire resolver (fleet.Spec.Batch) refuses every other bad axis. A
+	// machine with a named shape's name but not its structure it would
+	// accept, and simulate the named shape.
+	names := make([]string, len(e.machines))
+	for i, cfg := range e.machines {
+		if reg, err := fleet.Machine(cfg.Name); err == nil && reg.Fingerprint() != cfg.Fingerprint() {
 			return fleet.Spec{}, fmt.Errorf("colab: machine %q differs structurally from the named shape of that name; fleet workers would simulate the wrong machine", cfg.Name)
 		}
 		names[i] = cfg.Name
 	}
-	policies := e.policies
-	if len(policies) == 0 {
-		policies = PaperPolicies()
-	}
-	seeds := e.seeds
-	if len(seeds) == 0 {
-		seeds = []uint64{1}
-	}
 	return fleet.Spec{
 		Workloads: e.workloads,
 		Machines:  names,
-		Policies:  policies,
-		Seeds:     seeds,
+		Policies:  e.policies,
+		Seeds:     e.seeds,
 		Params:    e.params,
 		Workers:   e.workers,
 	}, nil
 }
 
-// runFleet executes the sweep on e.fleet and reassembles the shards into
+// runFleet executes the sweep on e.fleet, which returns it reassembled in
 // the session's cross-product order.
 func (e *Experiment) runFleet(ctx context.Context) (*ExperimentResults, error) {
 	spec, err := e.fleetSpec()
@@ -161,26 +134,22 @@ func (e *Experiment) runFleet(ctx context.Context) (*ExperimentResults, error) {
 	var obs func(int, fleet.Cell)
 	if e.observer != nil {
 		obs = func(_ int, c fleet.Cell) {
-			r, err := resultFromFleetCell(c)
-			if err == nil {
+			if r, err := resultFromFleetCell(c); err == nil {
 				e.observer(r)
 			}
 		}
 	}
-	shards, err := e.fleet.Run(ctx, spec, obs)
+	cells, err := e.fleet.Run(ctx, spec, obs)
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]*ExperimentResults, len(shards))
-	for i, cells := range shards {
-		parts[i] = &ExperimentResults{Cells: make([]ExperimentResult, len(cells))}
-		for j, c := range cells {
-			if parts[i].Cells[j], err = resultFromFleetCell(c); err != nil {
-				return nil, err
-			}
+	out := &ExperimentResults{Cells: make([]ExperimentResult, len(cells))}
+	for i, c := range cells {
+		if out.Cells[i], err = resultFromFleetCell(c); err != nil {
+			return nil, err
 		}
 	}
-	return e.MergeShards(parts...)
+	return out, nil
 }
 
 // resultFromFleetCell converts one wire cell back into the session form.

@@ -3,13 +3,16 @@ package colab_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	colab "colab"
+	"colab/internal/wiretest"
 )
 
 // startFleet spins up a coordinator and n worker daemons on loopback and
@@ -105,4 +108,20 @@ func TestFleetRejectsLocalOnlyOptions(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "named shape") {
 		t.Errorf("unnamed machine + fleet: error %v, want a named-shape error", err)
 	}
+	// The bad sweeps every surface refuses with the same message, before
+	// any worker is contacted. Go API seeds are integers: a non-integer
+	// seed has no spelling here.
+	wiretest.Refuses(t, "fleet: ", func(v url.Values) (string, bool) {
+		if v.Has("seed") {
+			return "", false
+		}
+		opts := []colab.ExperimentOption{colab.WithFleet(f), colab.WithWorkloads(v["workload"]...), colab.WithPolicies(v["policy"]...)}
+		for _, name := range v["machine"] {
+			cfg := colab.Config2B2S
+			cfg.Name = name
+			opts = append(opts, colab.WithMachine(cfg))
+		}
+		_, err := colab.NewExperiment(opts...).Run(context.Background())
+		return fmt.Sprint(err), true
+	})
 }

@@ -667,6 +667,15 @@ func NamedConfigs() []Config {
 		Config2x2B2S, Config2x32B32M64S, Config4x16B16S)
 }
 
+// NamedConfigNames lists the names of NamedConfigs, in order.
+func NamedConfigNames() []string {
+	var names []string
+	for _, c := range NamedConfigs() {
+		names = append(names, c.Name)
+	}
+	return names
+}
+
 // ConfigByName returns the named config (for CLI tools), or false.
 func ConfigByName(name string) (Config, bool) {
 	for _, c := range NamedConfigs() {

@@ -114,6 +114,22 @@ type Batch struct {
 	runners map[uint64]*Runner
 }
 
+// DefaultAxes fills the sweep axes a spec leaves empty (the 2B2S machine,
+// the paper schedulers, seed 1) for the Go session API and the wire spec
+// alike, so an unset axis means the same sweep on every surface.
+func DefaultAxes(cfgs []cpu.Config, policies []string, seeds []uint64) ([]cpu.Config, []string, []uint64) {
+	if len(cfgs) == 0 {
+		cfgs = []cpu.Config{cpu.Config2B2S}
+	}
+	if len(policies) == 0 {
+		policies = PaperSchedulers()
+	}
+	if len(seeds) == 0 {
+		seeds = []uint64{1}
+	}
+	return cfgs, policies, seeds
+}
+
 func (b *Batch) validate() error {
 	if len(b.Workloads) == 0 && len(b.Scenarios) == 0 {
 		return fmt.Errorf("experiment: batch has no workloads")

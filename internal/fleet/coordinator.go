@@ -344,14 +344,13 @@ type attemptResult struct {
 	err       error
 }
 
-// Run executes one sweep across the fleet and returns the per-shard cell
-// slices (shard s's cells in s's own cross-product order — exactly what a
-// WithShard(s, n) session returns, ready for MergeShards). A non-nil obs
-// receives every cell of the full sweep exactly once, tagged with its
-// global cross-product index, in that order (delivery is gated on all
-// predecessors, as with the in-process observer). Only one Run may be
-// active per Coordinator.
-func (c *Coordinator) Run(ctx context.Context, spec Spec, obs func(index int, cell Cell)) ([][]Cell, error) {
+// Run executes one sweep across the fleet and returns its cells in global
+// cross-product order — exactly what the unsharded in-process run
+// returns. A non-nil obs receives every cell exactly once, tagged with its
+// global index, in that order (delivery is gated on all predecessors, as
+// with the in-process observer). Only one Run may be active per
+// Coordinator.
+func (c *Coordinator) Run(ctx context.Context, spec Spec, obs func(index int, cell Cell)) ([]Cell, error) {
 	c.mu.Lock()
 	if c.running {
 		c.mu.Unlock()
@@ -365,6 +364,12 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec, obs func(index int, ce
 		c.mu.Unlock()
 	}()
 
+	// Resolve before waiting for workers: a spec no worker could run fails
+	// now, not after the fleet forms.
+	b, err := spec.Batch(0, 0)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
 	shards := c.opts.Shards
 	if shards <= 0 {
 		// Deal one shard per live worker. An empty fleet waits here (up to
@@ -378,10 +383,7 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec, obs func(index int, ce
 		}
 		shards = c.liveCount()
 	}
-	b, err := spec.batch(0, shards)
-	if err != nil {
-		return nil, err
-	}
+	b.ShardCount = shards
 	planned, err := b.Plan()
 	if err != nil {
 		return nil, err
@@ -477,14 +479,17 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec, obs func(index int, ce
 		}
 	}
 
-	out := make([][]Cell, shards)
-	for s := 0; s < shards; s++ {
-		out[s] = make([]Cell, len(st.seq[s]))
-		for k, g := range st.seq[s] {
-			out[s][k] = st.results[g]
-		}
-	}
-	return out, nil
+	return st.results, nil
+}
+
+// Stream runs one sweep across the fleet like Run and writes its cells to
+// w as the cell-line stream, in cross-product order, exactly as the
+// package-level Stream writes a local run's.
+func (c *Coordinator) Stream(ctx context.Context, w io.Writer, spec Spec, each func(Cell) error) (int, error) {
+	return relay(ctx, w, each, func(ctx context.Context, emit func(Cell)) error {
+		_, err := c.Run(ctx, spec, func(_ int, cell Cell) { emit(cell) })
+		return err
+	})
 }
 
 // attempt runs one dispatch of one shard to one worker, with a liveness
@@ -520,7 +525,7 @@ func (c *Coordinator) attempt(ctx context.Context, workerURL string, spec Spec, 
 // a cleanly terminated stream; anything else — a non-200, a cut
 // connection, an in-band error line, a short stream — fails the attempt.
 func (c *Coordinator) dispatch(ctx context.Context, workerURL string, spec Spec, shard, shards, want int, st *runState) error {
-	body, err := json.Marshal(runRequest{Spec: spec, ShardIndex: shard, ShardCount: shards, Journal: st.journalFor(shard)})
+	body, err := json.Marshal(Request{Spec: spec, ShardIndex: shard, ShardCount: shards, Journal: st.journalFor(shard)})
 	if err != nil {
 		return fmt.Errorf("fleet: encoding shard request: %w", err)
 	}
@@ -546,7 +551,10 @@ func (c *Coordinator) dispatch(ctx context.Context, workerURL string, spec Spec,
 		if len(line) == 0 {
 			continue
 		}
-		var sl streamLine
+		var sl struct {
+			Cell
+			errorLine
+		}
 		if err := json.Unmarshal(line, &sl); err != nil {
 			return fmt.Errorf("fleet: worker %s shard %d sent a malformed line: %q", workerURL, shard, line)
 		}

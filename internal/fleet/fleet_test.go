@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"colab/internal/experiment"
+	"colab/internal/wiretest"
 )
 
 // testSpec is the failure-path sweep: 2 seeds x 2 scenarios = 4
@@ -36,7 +38,7 @@ func testSpec() Spec {
 // reference every fleet assembly is compared against.
 func localCells(t *testing.T, spec Spec) []experiment.BatchCell {
 	t.Helper()
-	b, err := spec.batch(0, 0)
+	b, err := spec.Batch(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func runAndCheck(t *testing.T, tf *testFleet, spec Spec) []Cell {
 		streamed []Cell
 		indices  []int
 	)
-	shards, err := tf.coord.Run(context.Background(), spec, func(i int, c Cell) {
+	cells, err := tf.coord.Run(context.Background(), spec, func(i int, c Cell) {
 		mu.Lock()
 		streamed = append(streamed, c)
 		indices = append(indices, i)
@@ -117,16 +119,15 @@ func runAndCheck(t *testing.T, tf *testFleet, spec Spec) []Cell {
 	if len(streamed) != len(ref) {
 		t.Fatalf("observer saw %d cells, local run has %d", len(streamed), len(ref))
 	}
-	total := 0
-	for _, s := range shards {
-		total += len(s)
-	}
-	if total != len(ref) {
-		t.Fatalf("shards hold %d cells, local run has %d", total, len(ref))
+	if len(cells) != len(ref) {
+		t.Fatalf("run returned %d cells, local run has %d", len(cells), len(ref))
 	}
 	for i, c := range streamed {
 		if indices[i] != i {
 			t.Fatalf("observer delivery out of order: cell %d arrived at position %d", indices[i], i)
+		}
+		if cells[i] != c {
+			t.Errorf("returned cell %d differs from the streamed one: %+v vs %+v", i, cells[i], c)
 		}
 		want := ref[i]
 		if c.Workload != want.Key.Workload || c.Machine != want.Key.Config ||
@@ -244,16 +245,12 @@ func TestFleetLateWorkerRescuesRun(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 		RegisterAndHeartbeat(ctx, nil, tf.url, rts.URL, 50*time.Millisecond)
 	}()
-	shards, err := tf.coord.Run(context.Background(), spec, nil)
+	cells, err := tf.coord.Run(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for _, s := range shards {
-		total += len(s)
-	}
-	if total != len(ref) {
-		t.Fatalf("rescued run assembled %d cells, want %d", total, len(ref))
+	if len(cells) != len(ref) {
+		t.Fatalf("rescued run assembled %d cells, want %d", len(cells), len(ref))
 	}
 	if resc.Stats().ShardsRun == 0 {
 		t.Error("late worker never ran a shard")
@@ -354,6 +351,22 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 			t.Errorf("GET /run -> %s, want 405", resp.Status)
 		}
 	}
+	// The bad sweeps every surface refuses with the same message. A
+	// non-integer seed has no typed wire spelling: ParseRequest refuses it.
+	wiretest.Refuses(t, "400 fleet: ", func(v url.Values) (string, bool) {
+		req, err := ParseRequest(v)
+		if err != nil {
+			return "400 fleet: " + err.Error(), true
+		}
+		body, _ := json.Marshal(req)
+		resp, err := http.Post(wts.URL+"/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		reply, _ := io.ReadAll(resp.Body)
+		return fmt.Sprint(resp.StatusCode, " ", strings.TrimSpace(string(reply))), true
+	})
 }
 
 // The wire round trip preserves float bits: a cell encoded and decoded
@@ -361,15 +374,30 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 func TestWireFloatRoundTrip(t *testing.T) {
 	in := Cell{Workload: "w", HANTT: 1.0 / 3.0, HSTP: 2.0000000000000004}
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(streamLine{Cell: in}); err != nil {
+	if err := json.NewEncoder(&buf).Encode(in); err != nil {
 		t.Fatal(err)
 	}
-	var out streamLine
+	var out Cell
 	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.HANTT != in.HANTT || out.HSTP != in.HSTP {
-		t.Fatalf("floats not bit-identical after wire round trip: %v vs %v", out.Cell, in)
+		t.Fatalf("floats not bit-identical after wire round trip: %v vs %v", out, in)
+	}
+}
+
+// A run that fails after its first line ends the stream with one
+// {"error": ...} line: here the reader gives up after the first cell.
+func TestStreamEndsWithErrorLine(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	spec := testSpec()
+	spec.Workers = 1 // nothing computed past the cancel
+	var buf bytes.Buffer
+	n, err := Stream(ctx, &buf, Request{Spec: spec}, nil, func(Cell) error { cancel(); return nil })
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if n != 1 || err == nil || len(lines) != 2 || lines[1] != fmt.Sprintf(`{"error":%q}`, err) {
+		t.Fatalf("wrote %d cells, error %v, stream:\n%s", n, err, buf.String())
 	}
 }
 
@@ -452,30 +480,9 @@ func (spaces) Read(p []byte) (int, error) {
 //
 //	GOLDEN_WRITE=1 go test ./internal/fleet -run TestWorkerRunGolden
 func TestWorkerRunGolden(t *testing.T) {
-	const path = "testdata/worker_run.ndjson"
 	wts := httptest.NewServer(NewWorker(nil))
 	defer wts.Close()
 	body := `{"spec":{"workloads":["Sync-1","Comp-1"],"machines":["2B2S"],"policies":["linux","wash"],"seeds":[1,2]},"shard_index":1,"shard_count":2}`
 	resp, err := http.Post(wts.URL+"/run", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("/run -> %s, %v", resp.Status, err)
-	}
-	if os.Getenv("GOLDEN_WRITE") != "" {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("stream differs from %s:\ngot:\n%s\nwant:\n%s", path, got, want)
-	}
+	wiretest.GoldenReply(t, "testdata/worker_run.ndjson", resp, err)
 }

@@ -11,11 +11,10 @@
 // and SelectorStage in stages.go) over the pipeline's shared RunQueues.
 // The original monolithic implementation kept each core's timeline in a
 // red-black tree; the golden corpus proved the stage decomposition
-// bit-identical, and BenchmarkSelectorLinearVsRbtree showed the linear
+// bit-identical, and a linear-vs-rbtree dispatch benchmark showed the linear
 // shared queues faster (and allocation-free) at every realistic per-queue
 // depth, so the monolith was collapsed onto the stages (docs/TUNING.md
-// records the numbers). The rbtree timeline survives only as the benchmark
-// baseline in selectorbench_test.go.
+// records the numbers).
 package cfs
 
 import (

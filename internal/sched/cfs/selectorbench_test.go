@@ -6,153 +6,98 @@ import (
 
 	"colab/internal/kernel"
 	"colab/internal/mathx"
-	"colab/internal/rbtree"
 	"colab/internal/sim"
 	"colab/internal/task"
 )
 
-// The evidence behind the selector collapse (docs/TUNING.md): the original
-// CFS monolith kept each core's timeline in a red-black tree, while the
-// pipeline's shared RunQueues use an insertion-ordered slice scanned
-// linearly. This file holds the rbtree timeline as a benchmark baseline —
-// re-implemented here, since the monolith was collapsed onto the pipeline
-// stages — and races the two on the dispatch cycle (pop the leftmost
-// allowed thread, run, push it back) at per-queue depths bracketing what a
-// saturated 128-core machine actually sees.
+// The CFS timeline the selector stages dispatch from is kernel.RunQueues:
+// per core, an insertion-ordered slice scanned linearly for the leftmost
+// (vruntime, push order) allowed thread. docs/TUNING.md records why a
+// linear scan beat the red-black tree the original CFS monolith kept.
 
-// rbEntry mirrors kernel.RunQueues' (vruntime, push order) timeline key.
-type rbEntry struct {
+// scanEntry is one thread on the reference timeline, keyed like
+// RunQueues by (vruntime at push, push order).
+type scanEntry struct {
 	t   *task.Thread
 	vr  sim.Time
 	seq uint64
 }
 
-func rbLess(a, b rbEntry) bool {
-	if a.vr != b.vr {
-		return a.vr < b.vr
-	}
-	return a.seq < b.seq
+func (a scanEntry) before(b scanEntry) bool {
+	return a.vr < b.vr || (a.vr == b.vr && a.seq < b.seq)
 }
 
-// rbQueue is one core's timeline as the CFS monolith kept it: a red-black
-// tree plus a node index for O(log n) removal.
-type rbQueue struct {
-	tree  *rbtree.Tree[rbEntry]
-	nodes map[*task.Thread]*rbtree.Node[rbEntry]
-	seq   uint64
-	minVR sim.Time
+// scanQueue is the reference timeline: a plain slice searched
+// exhaustively for the least or greatest allowed key.
+type scanQueue struct {
+	entries []scanEntry
+	seq     uint64
 }
 
-func newRBQueue() *rbQueue {
-	return &rbQueue{tree: rbtree.New(rbLess), nodes: make(map[*task.Thread]*rbtree.Node[rbEntry])}
+func (q *scanQueue) push(t *task.Thread) {
+	q.seq++
+	q.entries = append(q.entries, scanEntry{t: t, vr: t.VRuntime, seq: q.seq})
 }
 
-func (rq *rbQueue) push(t *task.Thread) {
-	rq.seq++
-	rq.nodes[t] = rq.tree.Insert(rbEntry{t: t, vr: t.VRuntime, seq: rq.seq})
-}
-
-// popMinAllowed removes and returns the leftmost thread allowed on dest.
-func (rq *rbQueue) popMinAllowed(dest int) *task.Thread {
-	for n := rq.tree.Min(); n != nil; n = rq.tree.Next(n) {
-		if !n.Value.t.AllowedOn(dest) {
+// take removes and returns the allowed thread with the least key, or with
+// the greatest when max is set; nil when none is allowed on dest.
+func (q *scanQueue) take(dest int, max bool) *task.Thread {
+	best := -1
+	for i, e := range q.entries {
+		if !e.t.AllowedOn(dest) {
 			continue
 		}
-		t := n.Value.t
-		if n.Value.vr > rq.minVR {
-			rq.minVR = n.Value.vr
+		if best < 0 || e.before(q.entries[best]) != max {
+			best = i
 		}
-		rq.tree.Delete(n)
-		delete(rq.nodes, t)
-		return t
 	}
-	return nil
+	if best < 0 {
+		return nil
+	}
+	t := q.entries[best].t
+	q.entries = append(q.entries[:best], q.entries[best+1:]...)
+	return t
 }
 
-// stealMaxAllowed removes and returns the rightmost thread allowed on dest.
-func (rq *rbQueue) stealMaxAllowed(dest int) *task.Thread {
-	for n := rq.tree.Max(); n != nil; n = rq.tree.Prev(n) {
-		if !n.Value.t.AllowedOn(dest) {
-			continue
-		}
-		t := n.Value.t
-		rq.tree.Delete(n)
-		delete(rq.nodes, t)
-		return t
-	}
-	return nil
-}
-
-// The two timelines must agree on pop and steal order under random mixed
-// traffic, or the benchmark would be racing different semantics.
-func TestLinearAndRbtreeTimelinesAgree(t *testing.T) {
+// RunQueues must pop and steal exactly what the brute-force scan picks
+// under random mixed traffic, pinned threads included.
+func TestLinearTimelineMatchesScanOracle(t *testing.T) {
 	rng := mathx.NewRNG(7)
 	lin := kernel.NewRunQueues(1)
-	rb := newRBQueue()
-	var live []*task.Thread
+	ref := &scanQueue{}
 	for id := 0; id < 2000; id++ {
 		switch op := rng.IntN(4); {
-		case op <= 1 || len(live) == 0: // push a fresh thread
+		case op <= 1 || len(ref.entries) == 0: // push a fresh thread
 			th := &task.Thread{ID: id, VRuntime: sim.Time(rng.IntN(50))}
 			th.Affinity = task.MaskAll()
 			if rng.IntN(8) == 0 {
 				th.Affinity = task.MaskOf([]int{1}) // not allowed on core 0
 			}
 			lin.Push(0, th)
-			rb.push(th)
-			live = append(live, th)
+			ref.push(th)
 		case op == 2:
-			a, b := lin.PopMinAllowed(0, 0), rb.popMinAllowed(0)
-			if a != b {
-				t.Fatalf("PopMin diverged: linear %v, rbtree %v", a, b)
+			if a, b := lin.PopMinAllowed(0, 0), ref.take(0, false); a != b {
+				t.Fatalf("PopMin diverged: linear %v, oracle %v", a, b)
 			}
-			live = drop(live, a)
 		default:
-			a, b := lin.StealMaxAllowed(0, 0), rb.stealMaxAllowed(0)
-			if a != b {
-				t.Fatalf("StealMax diverged: linear %v, rbtree %v", a, b)
+			if a, b := lin.StealMaxAllowed(0, 0), ref.take(0, true); a != b {
+				t.Fatalf("StealMax diverged: linear %v, oracle %v", a, b)
 			}
-			live = drop(live, a)
 		}
-	}
-	if got := rb.tree.Validate(); got != "" {
-		t.Fatalf("rbtree invariant broken: %s", got)
 	}
 }
 
-func drop(live []*task.Thread, t *task.Thread) []*task.Thread {
-	if t == nil {
-		return live
-	}
-	// Also drain the counterpart structures' bookkeeping for pinned threads
-	// left behind: nothing to do, both keep them queued identically.
-	for i, x := range live {
-		if x == t {
-			return append(live[:i], live[i+1:]...)
-		}
-	}
-	return live
-}
-
-// BenchmarkSelectorLinearVsRbtree races one dispatch cycle (pop leftmost
-// allowed + push back with advanced vruntime) on both timeline
-// representations across per-queue depths. A saturated 128-core machine
-// with ~512 runnable threads holds ~4 threads per queue; depth 64+ only
-// occurs when a single queue absorbs an entire machine's backlog.
-func BenchmarkSelectorLinearVsRbtree(b *testing.B) {
-	depths := []int{4, 16, 64, 256}
-	mkThreads := func(n int) []*task.Thread {
-		ths := make([]*task.Thread, n)
-		for i := range ths {
-			ths[i] = &task.Thread{ID: i, VRuntime: sim.Time(i * 1000), Affinity: task.MaskAll()}
-		}
-		return ths
-	}
-	for _, depth := range depths {
-		b.Run(fmt.Sprintf("linear/depth=%d", depth), func(b *testing.B) {
+// BenchmarkSelectorLinear times one dispatch cycle (pop leftmost allowed
+// + push back with advanced vruntime) across per-queue depths. A
+// saturated 128-core machine with ~512 runnable threads holds ~4 threads
+// per queue; depth 64+ only occurs when a single queue absorbs an entire
+// machine's backlog.
+func BenchmarkSelectorLinear(b *testing.B) {
+	for _, depth := range []int{4, 16, 64, 256} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			q := kernel.NewRunQueues(1)
-			for _, th := range mkThreads(depth) {
-				q.Push(0, th)
+			for i := 0; i < depth; i++ {
+				q.Push(0, &task.Thread{ID: i, VRuntime: sim.Time(i * 1000), Affinity: task.MaskAll()})
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -160,19 +105,6 @@ func BenchmarkSelectorLinearVsRbtree(b *testing.B) {
 				t := q.PopMinAllowed(0, 0)
 				t.VRuntime += sim.Time(1000 * depth)
 				q.Push(0, t)
-			}
-		})
-		b.Run(fmt.Sprintf("rbtree/depth=%d", depth), func(b *testing.B) {
-			q := newRBQueue()
-			for _, th := range mkThreads(depth) {
-				q.push(th)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t := q.popMinAllowed(0)
-				t.VRuntime += sim.Time(1000 * depth)
-				q.push(t)
 			}
 		})
 	}
