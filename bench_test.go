@@ -10,6 +10,7 @@
 package colab_test
 
 import (
+	"context"
 	"testing"
 
 	"colab/internal/cpu"
@@ -133,7 +134,7 @@ func BenchmarkSummaryAll(b *testing.B) {
 	var colabANTT, washANTT float64
 	for i := 0; i < b.N; i++ {
 		r := newRunner(b)
-		cells, err := r.RunMatrix(workload.Compositions(), cpu.EvaluatedConfigs(),
+		cells, err := r.RunMatrix(context.Background(), workload.Compositions(), cpu.EvaluatedConfigs(),
 			[]string{experiment.SchedWASH, experiment.SchedCOLAB})
 		if err != nil {
 			b.Fatal(err)
@@ -160,7 +161,7 @@ func benchAblation(b *testing.B, kind string) {
 	var antt float64
 	for i := 0; i < b.N; i++ {
 		r := newRunner(b)
-		cells, err := r.RunMatrix(workload.CompositionsByClass(workload.ClassSync),
+		cells, err := r.RunMatrix(context.Background(), workload.CompositionsByClass(workload.ClassSync),
 			[]cpu.Config{cpu.Config2B2S}, []string{kind})
 		if err != nil {
 			b.Fatal(err)

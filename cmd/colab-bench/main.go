@@ -175,7 +175,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *csvPath != "" {
-		cells, err := r.RunMatrixContext(ctx, workload.Compositions(), cpu.EvaluatedConfigs(),
+		cells, err := r.RunMatrix(ctx, workload.Compositions(), cpu.EvaluatedConfigs(),
 			[]string{experiment.SchedWASH, experiment.SchedCOLAB})
 		if err != nil {
 			return fmt.Errorf("csv export: %w", err)

@@ -201,38 +201,23 @@ type ExperimentResults struct {
 	Cells []ExperimentResult
 }
 
-// matrix resolves the session's sweep axes with their defaults applied:
-// the parsed workload specs, machines, policies and seeds whose
+// batch resolves the session into its sweep: the parsed workload specs
+// and the machines, policies and seeds with their defaults applied, whose
 // cross-product (seeds outermost, then workloads, machines, policies
 // innermost) is the session's cell set.
-func (e *Experiment) matrix() (specs []workload.Spec, machines []Config, policies []string, seeds []uint64, err error) {
+func (e *Experiment) batch() (*experiment.Batch, error) {
 	if len(e.workloads) == 0 {
-		return nil, nil, nil, nil, fmt.Errorf("colab: experiment has no workloads (use WithWorkloads)")
+		return nil, fmt.Errorf("colab: experiment has no workloads (use WithWorkloads)")
 	}
-	specs = make([]workload.Spec, 0, len(e.workloads))
+	specs := make([]workload.Spec, 0, len(e.workloads))
 	for _, idx := range e.workloads {
 		spec, err := workload.ResolveSpec(idx)
 		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("colab: %w", err)
+			return nil, fmt.Errorf("colab: %w", err)
 		}
 		specs = append(specs, spec)
 	}
-	machines, policies, seeds = experiment.DefaultAxes(e.machines, e.policies, e.seeds)
-	return specs, machines, policies, seeds, nil
-}
-
-// Run executes the sweep and returns one result per cross-product cell
-// (one result per this shard's cells when WithShard is set). With
-// WithFleet, the sweep runs on the fleet's workers instead of in-process
-// and returns the full reassembled result set.
-func (e *Experiment) Run(ctx context.Context) (*ExperimentResults, error) {
-	if e.fleet != nil {
-		return e.runFleet(ctx)
-	}
-	specs, machines, policies, seeds, err := e.matrix()
-	if err != nil {
-		return nil, err
-	}
+	machines, policies, seeds := experiment.DefaultAxes(e.machines, e.policies, e.seeds)
 	b := &experiment.Batch{
 		Scenarios:  specs,
 		Configs:    machines,
@@ -254,6 +239,21 @@ func (e *Experiment) Run(ctx context.Context) (*ExperimentResults, error) {
 	}
 	if e.observer != nil {
 		b.Observer = func(c experiment.BatchCell) { e.observer(resultFromCell(c)) }
+	}
+	return b, nil
+}
+
+// Run executes the sweep and returns one result per cross-product cell
+// (one result per this shard's cells when WithShard is set). With
+// WithFleet, the sweep runs on the fleet's workers instead of in-process
+// and returns the full reassembled result set.
+func (e *Experiment) Run(ctx context.Context) (*ExperimentResults, error) {
+	if e.fleet != nil {
+		return e.runFleet(ctx)
+	}
+	b, err := e.batch()
+	if err != nil {
+		return nil, err
 	}
 	if e.checkpoint != "" {
 		j, err := experiment.OpenJournal(e.checkpoint)
@@ -281,7 +281,11 @@ func (e *Experiment) Run(ctx context.Context) (*ExperimentResults, error) {
 // the sweep exactly (a missing shard, a shard run against a different
 // spec, or the same shard twice).
 func (e *Experiment) MergeShards(shards ...*ExperimentResults) (*ExperimentResults, error) {
-	specs, machines, policies, seeds, err := e.matrix()
+	b, err := e.batch()
+	if err != nil {
+		return nil, err
+	}
+	plan, err := b.Plan()
 	if err != nil {
 		return nil, err
 	}
@@ -297,22 +301,16 @@ func (e *Experiment) MergeShards(shards ...*ExperimentResults) (*ExperimentResul
 		}
 	}
 	out := &ExperimentResults{}
-	for _, seed := range seeds {
-		for _, spec := range specs {
-			for _, cfg := range machines {
-				for _, kind := range policies {
-					run := ExperimentRun{Workload: spec.Name, Machine: cfg.Name, Policy: kind, Seed: seed}
-					cells := pool[run]
-					if len(cells) == 0 {
-						return nil, fmt.Errorf("colab: merge is missing cell %s/%s/%s seed %d (were all shards of this session run?)",
-							run.Workload, run.Machine, run.Policy, run.Seed)
-					}
-					out.Cells = append(out.Cells, cells[0])
-					pool[run] = cells[1:]
-					total--
-				}
-			}
+	for _, pc := range plan {
+		run := runFromKey(pc.Key)
+		cells := pool[run]
+		if len(cells) == 0 {
+			return nil, fmt.Errorf("colab: merge is missing cell %s/%s/%s seed %d (were all shards of this session run?)",
+				run.Workload, run.Machine, run.Policy, run.Seed)
 		}
+		out.Cells = append(out.Cells, cells[0])
+		pool[run] = cells[1:]
+		total--
 	}
 	if total != 0 {
 		return nil, fmt.Errorf("colab: merge has %d surplus cells beyond the session's sweep (same shard merged twice, or a different session spec?)", total)

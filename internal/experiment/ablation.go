@@ -64,31 +64,20 @@ func (r *Runner) stageAblation(ctx context.Context, indexes []string, cfgs []cpu
 	if len(variants) == 0 || variants[0].Label != "full colab" {
 		return nil, fmt.Errorf("experiment: stage ablation needs the full-colab reference as its first variant")
 	}
-	var comps []workload.Composition
+	var specs []workload.Spec
 	for _, idx := range indexes {
 		comp, ok := workload.CompositionByIndex(idx)
 		if !ok {
 			return nil, fmt.Errorf("experiment: unknown composition %q", idx)
 		}
-		comps = append(comps, comp)
+		specs = append(specs, comp.Spec())
 	}
 	names := make([]string, len(variants))
 	for i, v := range variants {
 		names[i] = v.Composition
 	}
-	b := &Batch{
-		Workloads:        comps,
-		Configs:          cfgs,
-		Policies:         names,
-		Seeds:            []uint64{r.Seed},
-		Params:           r.Params,
-		Workers:          r.workers(),
-		Speedup:          r.Speedup,
-		TierSpeedup:      r.TierSpeedup,
-		TierSpeedupTiers: r.TierSpeedupTiers,
-		runners:          map[uint64]*Runner{r.Seed: r},
-	}
-	if _, err := b.Run(ctx); err != nil {
+	res, err := r.batch(specs, cfgs, names).Run(ctx)
+	if err != nil {
 		return nil, err
 	}
 
@@ -99,20 +88,15 @@ func (r *Runner) stageAblation(ctx context.Context, indexes []string, cfgs []cpu
 	for _, cfg := range cfgs {
 		t.Header = append(t.Header, cfg.Name+" H_ANTT", cfg.Name+" H_STP")
 	}
-	ref := variants[0]
-	for _, v := range variants {
+	for vi, v := range variants {
 		row := []string{v.Label, v.Composition}
-		for _, cfg := range cfgs {
+		for ci := range cfgs {
 			var antt, stp []float64
-			for _, comp := range comps {
-				base, err := r.MixScore(comp, cfg, ref.Composition)
-				if err != nil {
-					return nil, err
-				}
-				got, err := r.MixScore(comp, cfg, v.Composition)
-				if err != nil {
-					return nil, err
-				}
+			for wi := range specs {
+				// res is in cross-product order, variants innermost; the
+				// full-colab reference is each row's first cell.
+				at := (wi*len(cfgs) + ci) * len(names)
+				base, got := res[at].Score, res[at+vi].Score
 				antt = append(antt, got.HANTT/base.HANTT)
 				stp = append(stp, got.HSTP/base.HSTP)
 			}

@@ -26,8 +26,9 @@ type CacheStats struct {
 }
 
 // Cache is a concurrency-safe, content-addressed store of scored cells
-// keyed by CellKey: the long-lived layer behind colab-serve and the fleet
-// workers that lets repeated and overlapping requests share work.
+// keyed by CellKey: the long-lived layer behind colab-serve, the fleet
+// workers and every Runner that lets repeated and overlapping requests
+// share work.
 // Identical in-flight computations are deduplicated — when two requests
 // race on one cell, the second waits for the first's result rather than
 // recomputing — and a leader failing (its request cancelled, say) promotes

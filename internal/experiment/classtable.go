@@ -1,80 +1,18 @@
 package experiment
 
-// Class regrouping over grammar scenarios: ScenarioMatrix is RunMatrix
-// for specs, and ClassTable regenerates a Figure 8-style per-class
-// H_ANTT/H_STP table grouped by the @class= label each scenario declares
-// — by default over the standard suite (workload.StandardSuite).
+// Class regrouping over grammar scenarios: ClassTable regenerates a
+// Figure 8-style per-class H_ANTT/H_STP table grouped by the @class= label
+// each scenario declares — by default over the standard suite
+// (workload.StandardSuite) — from one ScenarioMatrix run, which like every
+// matrix table is one Batch run on the runner's cell Cache.
 
 import (
 	"context"
 	"fmt"
 
 	"colab/internal/cpu"
-	"colab/internal/metrics"
 	"colab/internal/workload"
 )
-
-// ScenarioMatrix evaluates the given scenario specs x configs x
-// schedulers in parallel and returns one Cell per combination, with
-// Cell.Workload the scenario name and Cell.Class its @class= label.
-func (r *Runner) ScenarioMatrix(specs []workload.Spec, cfgs []cpu.Config, kinds []string) ([]Cell, error) {
-	return r.ScenarioMatrixContext(context.Background(), specs, cfgs, kinds)
-}
-
-// ScenarioMatrixContext is ScenarioMatrix with cooperative cancellation.
-// Like RunMatrixContext, the fan-out goes through the Batch session
-// engine sharing this runner's memo caches, and Linux is always included
-// as the normalisation reference.
-func (r *Runner) ScenarioMatrixContext(ctx context.Context, specs []workload.Spec, cfgs []cpu.Config, kinds []string) ([]Cell, error) {
-	seen := map[string]bool{}
-	var all []string
-	for _, k := range append([]string{SchedLinux}, kinds...) {
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		all = append(all, k)
-	}
-	b := &Batch{
-		Scenarios:        specs,
-		Configs:          cfgs,
-		Policies:         all,
-		Seeds:            []uint64{r.Seed},
-		Params:           r.Params,
-		Workers:          r.workers(),
-		Speedup:          r.Speedup,
-		TierSpeedup:      r.TierSpeedup,
-		TierSpeedupTiers: r.TierSpeedupTiers,
-		runners:          map[uint64]*Runner{r.Seed: r},
-	}
-	if _, err := b.Run(ctx); err != nil {
-		return nil, err
-	}
-	var cells []Cell
-	for _, spec := range specs {
-		for _, cfg := range cfgs {
-			ref, err := r.ScenarioScore(spec, cfg, SchedLinux)
-			if err != nil {
-				return nil, err
-			}
-			for _, k := range kinds {
-				raw, err := r.ScenarioScore(spec, cfg, k)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, Cell{
-					Workload: spec.Name,
-					Class:    spec.Class,
-					Config:   cfg.Name,
-					Sched:    k,
-					Raw:      raw,
-					Norm:     metrics.Normalized(raw, ref),
-				})
-			}
-		}
-	}
-	return cells, nil
-}
 
 // ClassTable regenerates a Figure 8-style per-class table over grammar
 // scenarios, grouped by each scenario's @class= label. Empty arguments
@@ -107,7 +45,7 @@ func (r *Runner) ClassTable(ctx context.Context, names []string, cfgs []cpu.Conf
 			groups = append(groups, string(spec.Class))
 		}
 	}
-	cells, err := r.ScenarioMatrixContext(ctx, specs, cfgs, kinds)
+	cells, err := r.ScenarioMatrix(ctx, specs, cfgs, kinds)
 	if err != nil {
 		return nil, err
 	}

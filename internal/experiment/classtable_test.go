@@ -51,7 +51,7 @@ func TestScenarioMatrixCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := r.ScenarioMatrix([]workload.Spec{spec}, []cpu.Config{cpu.Config2B2S}, []string{SchedCOLAB})
+	cells, err := r.ScenarioMatrix(context.Background(), []workload.Spec{spec}, []cpu.Config{cpu.Config2B2S}, []string{SchedCOLAB})
 	if err != nil {
 		t.Fatal(err)
 	}

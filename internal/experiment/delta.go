@@ -20,11 +20,10 @@ type paperDelta struct {
 
 // DeltaTable is the paper-vs-reproduction quantitative comparison: the
 // paper's headline percentage deltas next to the ones this reproduction
-// measures over the full 26-workload x 4-config matrix. The matrix runs
-// through the Batch session engine (the same machinery behind
-// colab.Experiment), sharing this runner's memo caches.
+// measures over the full 26-workload x 4-config matrix, one Batch run on
+// this runner's cell Cache.
 func (r *Runner) DeltaTable(ctx context.Context) (*Table, error) {
-	cells, err := r.RunMatrixContext(ctx, workload.Compositions(), cpu.EvaluatedConfigs(),
+	cells, err := r.RunMatrix(ctx, workload.Compositions(), cpu.EvaluatedConfigs(),
 		[]string{SchedWASH, SchedCOLAB})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+
 	"colab/internal/cpu"
 	"colab/internal/workload"
 )
@@ -9,7 +11,7 @@ import (
 // (workload, config) cell — the per-bar values behind the aggregated
 // figures 5-9 — normalised to Linux.
 func (r *Runner) DetailTable() (*Table, error) {
-	cells, err := r.RunMatrix(workload.Compositions(), cpu.EvaluatedConfigs(),
+	cells, err := r.RunMatrix(context.TODO(), workload.Compositions(), cpu.EvaluatedConfigs(),
 		[]string{SchedWASH, SchedCOLAB})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -115,7 +116,7 @@ func (r *Runner) classCells(classes ...workload.Class) ([]Cell, error) {
 	for _, cl := range classes {
 		comps = append(comps, workload.CompositionsByClass(cl)...)
 	}
-	return r.RunMatrix(comps, cpu.EvaluatedConfigs(), []string{SchedWASH, SchedCOLAB})
+	return r.RunMatrix(context.TODO(), comps, cpu.EvaluatedConfigs(), []string{SchedWASH, SchedCOLAB})
 }
 
 // Figure5 reproduces the Sync vs NSync class comparison.
@@ -162,7 +163,7 @@ func (r *Runner) Figure7() (*Table, error) {
 
 // allCells runs the complete 26-workload matrix once (memoised).
 func (r *Runner) allCells(kinds []string) ([]Cell, error) {
-	return r.RunMatrix(workload.Compositions(), cpu.EvaluatedConfigs(), kinds)
+	return r.RunMatrix(context.TODO(), workload.Compositions(), cpu.EvaluatedConfigs(), kinds)
 }
 
 // coreCount maps a config name back to its total cores.
@@ -277,7 +278,7 @@ func (r *Runner) Ablation() (*Table, error) {
 		workload.CompositionsByClass(workload.ClassRand)...)
 	cfgs := []cpu.Config{cpu.Config2B2S, cpu.Config4B4S}
 	kinds := AblationSchedulers()
-	cells, err := r.RunMatrix(comps, cfgs, kinds)
+	cells, err := r.RunMatrix(context.TODO(), comps, cfgs, kinds)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestNUMAMatrixDeterministic(t *testing.T) {
 	csvOf := func(workers int) string {
 		r := testRunner(t)
 		r.Workers = workers
-		cells, err := r.RunMatrix([]workload.Composition{comp},
+		cells, err := r.RunMatrix(context.Background(), []workload.Composition{comp},
 			[]cpu.Config{cpu.Config2x2B2S}, kinds)
 		if err != nil {
 			t.Fatal(err)

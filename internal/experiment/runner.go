@@ -8,7 +8,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"colab/internal/cpu"
@@ -50,8 +49,9 @@ func AblationSchedulers() []string {
 	return []string{SchedCOLAB, SchedCOLABNoScale, SchedCOLABLocal, SchedCOLABFlat, SchedCOLABNoPull, SchedCOLABOracle, SchedGTS, SchedEAS}
 }
 
-// Runner executes and memoises simulations. It is safe for concurrent use;
-// the heavy entry points fan out over a worker pool internally.
+// Runner executes and memoises simulations. It is safe for concurrent use.
+// Every matrix-shaped entry point, down to a single MixScore, is one Batch
+// run on the runner's cell Cache.
 type Runner struct {
 	// Speedup is the online predictor given to the AMP-aware schedulers.
 	// Defaults to the lazily trained standard model.
@@ -74,7 +74,7 @@ type Runner struct {
 
 	mu        sync.Mutex
 	baselines map[string]sim.Time
-	mixes     map[string]metrics.MixScore
+	cache     *Cache
 }
 
 // NewRunner returns a Runner using the standard trained speedup model.
@@ -87,7 +87,7 @@ func NewRunner(seed uint64) (*Runner, error) {
 		Speedup:   model.ThreadPredictor(),
 		Seed:      seed,
 		baselines: make(map[string]sim.Time),
-		mixes:     make(map[string]metrics.MixScore),
+		cache:     NewCache(),
 	}, nil
 }
 
@@ -102,11 +102,22 @@ func (r *Runner) NewScheduler(kind string) (kernel.Scheduler, error) {
 	})
 }
 
-func (r *Runner) workers() int {
-	if r.Workers > 0 {
-		return r.Workers
+// batch returns the specs x cfgs x kinds sweep at the runner's seed, run
+// by the runner itself on its cell cache.
+func (r *Runner) batch(specs []workload.Spec, cfgs []cpu.Config, kinds []string) *Batch {
+	return &Batch{
+		Scenarios:        specs,
+		Configs:          cfgs,
+		Policies:         kinds,
+		Seeds:            []uint64{r.Seed},
+		Params:           r.Params,
+		Workers:          r.Workers,
+		Speedup:          r.Speedup,
+		TierSpeedup:      r.TierSpeedup,
+		TierSpeedupTiers: r.TierSpeedupTiers,
+		Cache:            r.cache,
+		runners:          map[uint64]*Runner{r.Seed: r},
 	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // run executes one workload on one machine variant.
@@ -197,7 +208,7 @@ func (r *Runner) baselineBigCtx(ctx context.Context, spec workload.Spec, appIdx 
 // MixScore returns the H_ANTT / H_STP of one (workload, config, scheduler)
 // cell, averaged over the two core orders, memoised.
 func (r *Runner) MixScore(comp workload.Composition, cfg cpu.Config, kind string) (metrics.MixScore, error) {
-	return r.specScore(context.Background(), comp.Spec(), cfg, kind, nil)
+	return r.ScenarioScore(comp.Spec(), cfg, kind)
 }
 
 // ScenarioScore is MixScore for a grammar/registry scenario spec: the
@@ -205,7 +216,11 @@ func (r *Runner) MixScore(comp workload.Composition, cfg cpu.Config, kind string
 // averaged over the two core orders, memoised. Open-system scenarios score
 // each app's turnaround from its own arrival time.
 func (r *Runner) ScenarioScore(spec workload.Spec, cfg cpu.Config, kind string) (metrics.MixScore, error) {
-	return r.specScore(context.Background(), spec, cfg, kind, nil)
+	cells, err := r.batch([]workload.Spec{spec}, []cpu.Config{cfg}, []string{kind}).Run(context.Background())
+	if err != nil {
+		return metrics.MixScore{}, err
+	}
+	return cells[0].Score, nil
 }
 
 // BaselineKey is the content address of one big-only-alone baseline: the
@@ -219,21 +234,12 @@ func BaselineKey(spec workload.Spec, appIdx, cores int, seed uint64, params kern
 	return fmt.Sprintf("%s|app=%d", k, appIdx)
 }
 
-// specScore computes (or returns memoised) one cell. A non-nil tracer
-// receives every scheduling event of the two mix runs (baseline runs are
-// not traced) and disables memoisation for the cell, so the events always
-// correspond to a real execution.
+// specScore simulates one cell: both core orders, scored against the
+// (cached) big-only-alone baselines. It keeps no memo of its own — Batch.Run
+// consults the journal and the cell Cache before calling it. A non-nil
+// tracer receives every scheduling event of the two mix runs (baseline runs
+// are not traced).
 func (r *Runner) specScore(ctx context.Context, spec workload.Spec, cfg cpu.Config, kind string, tracer func(bigFirst bool, ev kernel.TraceEvent)) (metrics.MixScore, error) {
-	key := NewCellKey(spec, kind, cfg, r.Seed, r.Params).String()
-	if tracer == nil {
-		r.mu.Lock()
-		if v, ok := r.mixes[key]; ok {
-			r.mu.Unlock()
-			return v, nil
-		}
-		r.mu.Unlock()
-	}
-
 	bases := make([]sim.Time, spec.NumApps())
 	for i := range bases {
 		b, err := r.baselineBigCtx(ctx, spec, i, cfg)
@@ -266,11 +272,6 @@ func (r *Runner) specScore(ctx context.Context, spec workload.Spec, cfg cpu.Conf
 		total.HANTT += score.HANTT / float64(len(orders))
 		total.HSTP += score.HSTP / float64(len(orders))
 	}
-	if tracer == nil {
-		r.mu.Lock()
-		r.mixes[key] = total
-		r.mu.Unlock()
-	}
 	return total, nil
 }
 
@@ -284,64 +285,60 @@ type Cell struct {
 	Norm     metrics.MixScore // relative to Linux on the same workload+config
 }
 
-// RunMatrix evaluates the given compositions x configs x schedulers in
-// parallel and returns one Cell per combination. Linux cells carry
-// Norm = {1, 1}.
-func (r *Runner) RunMatrix(comps []workload.Composition, cfgs []cpu.Config, kinds []string) ([]Cell, error) {
-	return r.RunMatrixContext(context.Background(), comps, cfgs, kinds)
-}
-
-// RunMatrixContext is RunMatrix with cooperative cancellation. The fan-out
-// goes through the Batch session engine (sharing this runner's memo
-// caches); the normalised Cell assembly then reads the warmed cache.
-func (r *Runner) RunMatrixContext(ctx context.Context, comps []workload.Composition, cfgs []cpu.Config, kinds []string) ([]Cell, error) {
-	// Linux is always included: it is the normalisation reference.
-	seen := map[string]bool{}
-	var all []string
-	for _, k := range append([]string{SchedLinux}, kinds...) {
-		if seen[k] {
-			continue
+// ScenarioMatrix evaluates the given scenario specs x configs x
+// schedulers as one Batch run and returns one Cell per combination, in
+// cross-product order, with Cell.Workload the scenario name and Cell.Class
+// its @class= label. Linux joins the run as the normalisation reference;
+// Linux cells carry Norm = {1, 1}.
+func (r *Runner) ScenarioMatrix(ctx context.Context, specs []workload.Spec, cfgs []cpu.Config, kinds []string) ([]Cell, error) {
+	all := []string{SchedLinux}
+	at := map[string]int{SchedLinux: 0}
+	for _, k := range kinds {
+		if _, ok := at[k]; !ok {
+			at[k] = len(all)
+			all = append(all, k)
 		}
-		seen[k] = true
-		all = append(all, k)
 	}
-	b := &Batch{
-		Workloads:        comps,
-		Configs:          cfgs,
-		Policies:         all,
-		Seeds:            []uint64{r.Seed},
-		Params:           r.Params,
-		Workers:          r.workers(),
-		Speedup:          r.Speedup,
-		TierSpeedup:      r.TierSpeedup,
-		TierSpeedupTiers: r.TierSpeedupTiers,
-		runners:          map[uint64]*Runner{r.Seed: r},
-	}
-	if _, err := b.Run(ctx); err != nil {
+	res, err := r.batch(specs, cfgs, all).Run(ctx)
+	if err != nil {
 		return nil, err
 	}
+	// res is in cross-product order, policies innermost: each run of
+	// len(all) cells is one (spec, config) row, Linux first.
 	var cells []Cell
-	for _, c := range comps {
-		for _, cfg := range cfgs {
-			ref, err := r.MixScore(c, cfg, SchedLinux)
-			if err != nil {
-				return nil, err
-			}
-			for _, k := range kinds {
-				raw, err := r.MixScore(c, cfg, k)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, Cell{
-					Workload: c.Index,
-					Class:    c.Class,
-					Config:   cfg.Name,
-					Sched:    k,
-					Raw:      raw,
-					Norm:     metrics.Normalized(raw, ref),
-				})
-			}
+	for n := 0; n < len(res); n += len(all) {
+		row := res[n : n+len(all)]
+		spec := specs[n/len(all)/len(cfgs)]
+		for _, k := range kinds {
+			raw := row[at[k]].Score
+			cells = append(cells, Cell{
+				Workload: spec.Name,
+				Class:    spec.Class,
+				Config:   row[0].Key.Config,
+				Sched:    k,
+				Raw:      raw,
+				Norm:     metrics.Normalized(raw, row[0].Score),
+			})
 		}
+	}
+	return cells, nil
+}
+
+// RunMatrix is ScenarioMatrix for Table 4 compositions, with Cell.Class
+// the composition's class.
+func (r *Runner) RunMatrix(ctx context.Context, comps []workload.Composition, cfgs []cpu.Config, kinds []string) ([]Cell, error) {
+	specs := make([]workload.Spec, len(comps))
+	for i, c := range comps {
+		specs[i] = c.Spec()
+	}
+	cells, err := r.ScenarioMatrix(ctx, specs, cfgs, kinds)
+	if err != nil {
+		return nil, err
+	}
+	// Composition.Spec carries no @class= label: the label is part of the
+	// canonical form, so adding it would change every cell's CellKey.
+	for i := range cells {
+		cells[i].Class = comps[i/(len(cfgs)*len(kinds))].Class
 	}
 	return cells, nil
 }

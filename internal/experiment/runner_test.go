@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -62,7 +63,7 @@ func TestMixScoreMemoized(t *testing.T) {
 func TestRunMatrixNormalisesToLinux(t *testing.T) {
 	r := testRunner(t)
 	comp, _ := workload.CompositionByIndex("NSync-1")
-	cells, err := r.RunMatrix([]workload.Composition{comp}, []cpu.Config{cpu.Config2B2S}, []string{SchedLinux, SchedCOLAB})
+	cells, err := r.RunMatrix(context.Background(), []workload.Composition{comp}, []cpu.Config{cpu.Config2B2S}, []string{SchedLinux, SchedCOLAB})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,23 +40,20 @@ type BatchCell struct {
 	Cached bool
 }
 
-// Batch is the context-aware batch executor underneath colab.Experiment:
-// it fans the Workloads x Configs x Policies x Seeds cross-product out over
-// a worker pool, collecting and caching big-only baselines automatically.
+// Batch is the context-aware batch executor underneath colab.Experiment,
+// colab-serve, the fleet workers and every matrix table of the Runner: it
+// fans the Scenarios x Configs x Policies x Seeds cross-product out over a
+// worker pool, collecting and caching big-only baselines automatically.
 //
 // Results are deterministic and independent of Workers: cells come back in
-// cross-product order (seeds outermost, then workloads, configs, policies
-// innermost) and every cell's value is computed by the same memoised
-// single-cell path the legacy Runner uses.
+// cross-product order (seeds outermost, then scenarios, configs, policies
+// innermost) and every cell's value is computed by the one single-cell
+// path, Runner.specScore.
 type Batch struct {
-	// Workloads are Table 4 compositions to run (closed-system; kept as
-	// the typed composition surface).
-	Workloads []workload.Composition
-	// Scenarios are grammar/registry scenario specs to run; they join
-	// Workloads in the cross-product. A converted composition
-	// (Composition.Spec) and the composition itself run byte-identically,
-	// and open-system specs (with arrival processes) score each app from
-	// its own arrival time. At least one workload or scenario is required.
+	// Scenarios are grammar/registry scenario specs to run (at least one).
+	// A Table 4 composition runs as its Composition.Spec, and open-system
+	// specs (with arrival processes) score each app from its own arrival
+	// time.
 	Scenarios []workload.Spec
 	// Configs are the machine shapes to run on (at least one).
 	Configs []cpu.Config
@@ -109,8 +106,8 @@ type Batch struct {
 	// sharing one Cache dedup their common cells (colab-serve's layer).
 	Cache *Cache
 
-	// runners pre-seeds per-seed runners so callers (Runner.RunMatrix) can
-	// share memo caches with the batch.
+	// runners pre-seeds per-seed runners so a Runner's own batches share
+	// its baseline memo.
 	runners map[uint64]*Runner
 }
 
@@ -131,7 +128,7 @@ func DefaultAxes(cfgs []cpu.Config, policies []string, seeds []uint64) ([]cpu.Co
 }
 
 func (b *Batch) validate() error {
-	if len(b.Workloads) == 0 && len(b.Scenarios) == 0 {
+	if len(b.Scenarios) == 0 {
 		return fmt.Errorf("experiment: batch has no workloads")
 	}
 	if len(b.Configs) == 0 {
@@ -192,7 +189,6 @@ func (b *Batch) runnerFor(seed uint64, speedup func(*task.Thread) float64) *Runn
 		Seed:             seed,
 		Params:           b.Params,
 		baselines:        make(map[string]sim.Time),
-		mixes:            make(map[string]metrics.MixScore),
 	}
 	if b.runners == nil {
 		b.runners = make(map[uint64]*Runner)
@@ -310,7 +306,15 @@ func (b *Batch) Run(ctx context.Context) ([]BatchCell, error) {
 					}
 				}
 				if !cached {
-					compute := func() (metrics.MixScore, error) {
+					// A panicking cell (a policy breaking a kernel invariant)
+					// fails the batch, not the process; recovering inside
+					// compute also releases the cell's in-flight Cache entry.
+					compute := func() (score metrics.MixScore, err error) {
+						defer func() {
+							if v := recover(); v != nil {
+								err = fmt.Errorf("experiment: cell %s panicked: %v", j.ck, v)
+							}
+						}()
 						var tracer func(bool, kernel.TraceEvent)
 						if b.Tracer != nil {
 							tracer = func(bigFirst bool, ev kernel.TraceEvent) { b.Tracer(j.key, bigFirst, ev) }

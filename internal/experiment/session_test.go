@@ -7,10 +7,14 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"colab/internal/cpu"
 	"colab/internal/kernel"
+	"colab/internal/policy"
+	"colab/internal/task"
 	"colab/internal/workload"
 )
 
@@ -54,12 +58,12 @@ func TestBatchMatchesGoldenCorpus(t *testing.T) {
 		}
 	}
 
-	var mixes []workload.Composition
+	var mixes []workload.Spec
 	for _, idx := range []string{"Sync-2", "NSync-2", "Comm-2", "Comp-2", "Rand-7"} {
-		mixes = append(mixes, compByIndex(t, idx))
+		mixes = append(mixes, compByIndex(t, idx).Spec())
 	}
 	main := &Batch{
-		Workloads: mixes,
+		Scenarios: mixes,
 		Configs:   cpu.EvaluatedConfigs(),
 		Policies:  []string{SchedLinux, SchedWASH, SchedCOLAB, SchedGTS, SchedEAS},
 		Seeds:     []uint64{1},
@@ -71,7 +75,7 @@ func TestBatchMatchesGoldenCorpus(t *testing.T) {
 	collect(cells)
 
 	ablations := &Batch{
-		Workloads: []workload.Composition{compByIndex(t, "Sync-2")},
+		Scenarios: []workload.Spec{compByIndex(t, "Sync-2").Spec()},
 		Configs:   []cpu.Config{cpu.Config2B2S},
 		Policies: []string{SchedCOLABNoScale, SchedCOLABLocal, SchedCOLABFlat,
 			SchedCOLABNoPull, SchedCOLABOracle},
@@ -100,14 +104,14 @@ func TestBatchValidation(t *testing.T) {
 	comp := compByIndex(t, "Sync-1")
 	base := func() *Batch {
 		return &Batch{
-			Workloads: []workload.Composition{comp},
+			Scenarios: []workload.Spec{comp.Spec()},
 			Configs:   []cpu.Config{cpu.Config2B2S},
 			Policies:  []string{SchedLinux},
 			Seeds:     []uint64{1},
 		}
 	}
 	for name, breakIt := range map[string]func(*Batch){
-		"no workloads": func(b *Batch) { b.Workloads = nil },
+		"no workloads": func(b *Batch) { b.Scenarios = nil },
 		"no configs":   func(b *Batch) { b.Configs = nil },
 		"no policies":  func(b *Batch) { b.Policies = nil },
 		"no seeds":     func(b *Batch) { b.Seeds = nil },
@@ -132,7 +136,7 @@ func TestBatchValidation(t *testing.T) {
 func TestBatchTracerKeysCells(t *testing.T) {
 	comp := compByIndex(t, "Comp-1")
 	plain := &Batch{
-		Workloads: []workload.Composition{comp},
+		Scenarios: []workload.Spec{comp.Spec()},
 		Configs:   []cpu.Config{cpu.Config2B2S},
 		Policies:  []string{SchedLinux},
 		Seeds:     []uint64{1},
@@ -144,7 +148,7 @@ func TestBatchTracerKeysCells(t *testing.T) {
 	events := 0
 	orders := map[bool]int{}
 	traced := &Batch{
-		Workloads: []workload.Composition{comp},
+		Scenarios: []workload.Spec{comp.Spec()},
 		Configs:   []cpu.Config{cpu.Config2B2S},
 		Policies:  []string{SchedLinux},
 		Seeds:     []uint64{1},
@@ -188,7 +192,7 @@ func TestBatchDistinguishesSameNamedConfigs(t *testing.T) {
 		t.Fatalf("test premise broken: names differ (%s vs %s)", stock.Name, boosted.Name)
 	}
 	b := &Batch{
-		Workloads: []workload.Composition{comp},
+		Scenarios: []workload.Spec{comp.Spec()},
 		Configs:   []cpu.Config{stock, boosted},
 		Policies:  []string{SchedLinux},
 		Seeds:     []uint64{1},
@@ -209,5 +213,45 @@ func TestBatchDistinguishesSameNamedConfigs(t *testing.T) {
 	}
 	if cells[0].Score == cells[1].Score {
 		t.Fatalf("different machines share a score: %v", cells[0].Score)
+	}
+}
+
+// invalidCore is a policy that breaks a kernel invariant: Enqueue places
+// every thread on core -1, which the kernel answers with a panic.
+type invalidCore struct{ kernel.Scheduler }
+
+func (invalidCore) Enqueue(*task.Thread, bool) int { return -1 }
+
+var registerInvalidCore sync.Once
+
+// TestPanickingCellFailsTheBatch checks a cell whose simulation panics
+// fails its batch with an error naming the cell, and releases its
+// in-flight Cache entry: a second batch on the same cache gets the error
+// too instead of waiting forever for the first one's result.
+func TestPanickingCellFailsTheBatch(t *testing.T) {
+	const name = "test-invalid-core"
+	registerInvalidCore.Do(func() {
+		policy.MustRegister(name, func(ctx policy.Context) (kernel.Scheduler, error) {
+			s, err := policy.New(policy.Linux, ctx)
+			return invalidCore{s}, err
+		})
+	})
+	spec := compByIndex(t, "Sync-1").Spec()
+	cache := NewCache()
+	want := fmt.Sprintf("experiment: cell %s panicked: kernel: ", NewCellKey(spec, name, cpu.Config2B2S, 1, kernel.Params{}))
+	for run := 1; run <= 2; run++ {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		b := &Batch{
+			Scenarios: []workload.Spec{spec},
+			Configs:   []cpu.Config{cpu.Config2B2S},
+			Policies:  []string{name},
+			Seeds:     []uint64{1},
+			Cache:     cache,
+		}
+		_, err := b.Run(ctx)
+		cancel()
+		if err == nil || !strings.HasPrefix(err.Error(), want) || !strings.Contains(err.Error(), "invalid core -1") {
+			t.Fatalf("run %d: got error %v, want one starting %q", run, err, want)
+		}
 	}
 }

@@ -42,7 +42,7 @@ func TestTablesGolden(t *testing.T) {
 	add(r.Ablation())
 	add(r.ClassTable(ctx, nil, nil, []string{SchedWASH, SchedCOLAB, SchedGTS, SchedEAS}))
 	add(ReplicationTable(nil))
-	cells, err := r.RunMatrixContext(ctx, workload.Compositions(), cpu.EvaluatedConfigs(), []string{SchedWASH, SchedCOLAB})
+	cells, err := r.RunMatrix(ctx, workload.Compositions(), cpu.EvaluatedConfigs(), []string{SchedWASH, SchedCOLAB})
 	if err != nil {
 		t.Fatal(err)
 	}
