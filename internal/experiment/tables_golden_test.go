@@ -10,11 +10,12 @@ import (
 	"colab/internal/workload"
 )
 
-// TestTablesGolden pins every table built from the evaluation matrix —
-// Figures 4-9, the summary, the delta and detail tables, both ablations,
-// the per-class suite table, the replication table and the matrix CSV —
-// rendered from one seed-1 runner, byte for byte. Regenerate with
-// GOLDEN_WRITE=1 (intentional output changes only).
+// TestTablesGolden pins every table the Runner renders — Figures 4-9, the
+// summary, the delta and detail tables, both ablations, the per-class
+// suite table, the replication table, the energy, tri-gear, OPP-sweep and
+// NUMA-sweep extension tables and the matrix CSV — from one seed-1 runner,
+// byte for byte. Regenerate with GOLDEN_WRITE=1 (intentional output
+// changes only).
 func TestTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full evaluation matrix is not -short")
@@ -42,6 +43,10 @@ func TestTablesGolden(t *testing.T) {
 	add(r.Ablation())
 	add(r.ClassTable(ctx, nil, nil, []string{SchedWASH, SchedCOLAB, SchedGTS, SchedEAS}))
 	add(ReplicationTable(nil))
+	add(r.EnergyTable())
+	add(r.TriGearTable())
+	add(r.OPPSweepTable())
+	add(r.NUMASweepTable())
 	cells, err := r.RunMatrix(ctx, workload.Compositions(), cpu.EvaluatedConfigs(), []string{SchedWASH, SchedCOLAB})
 	if err != nil {
 		t.Fatal(err)
