@@ -84,7 +84,7 @@ func BenchmarkTable4Compositions(b *testing.B) {
 func BenchmarkFigure4SingleProgram(b *testing.B) {
 	var geomean float64
 	for i := 0; i < b.N; i++ {
-		tab, err := newRunner(b).Figure4()
+		tab, err := newRunner(b).Figure4(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,9 +93,9 @@ func BenchmarkFigure4SingleProgram(b *testing.B) {
 	}
 }
 
-func benchClassFigure(b *testing.B, run func(*experiment.Runner) (*experiment.Table, error)) {
+func benchClassFigure(b *testing.B, run func(*experiment.Runner, context.Context) (*experiment.Table, error)) {
 	for i := 0; i < b.N; i++ {
-		if _, err := run(newRunner(b)); err != nil {
+		if _, err := run(newRunner(b), context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,8 +14,8 @@
 //	colab-bench -oppsweep    # COLAB across the 2B2M2S frequency ladders
 //	colab-bench -numa        # migration-cost sensitivity on the 2x2B2S machine
 //
-// Ctrl-C cancels: context-aware jobs (-delta, -csv) abort mid-matrix, the
-// job loop stops before the next job, and a second Ctrl-C kills outright.
+// Ctrl-C cancels: the running job aborts mid-simulation and the job loop
+// stops before the next job; a second Ctrl-C kills outright.
 package main
 
 import (
@@ -34,12 +34,12 @@ import (
 
 type job struct {
 	name string
-	run  func() (string, error)
+	run  func(context.Context) (string, error)
 }
 
-func tableJob(name string, f func() (*experiment.Table, error)) job {
-	return job{name: name, run: func() (string, error) {
-		t, err := f()
+func tableJob(name string, f func(context.Context) (*experiment.Table, error)) job {
+	return job{name: name, run: func(ctx context.Context) (string, error) {
+		t, err := f(ctx)
 		if err != nil {
 			return "", err
 		}
@@ -48,9 +48,9 @@ func tableJob(name string, f func() (*experiment.Table, error)) job {
 }
 
 func main() {
-	// Two-stage interrupt: the first Ctrl-C cancels ctx (context-aware jobs
-	// abort mid-matrix, the job loop stops before the next job); the second
-	// falls back to the default signal action and kills the process.
+	// Two-stage interrupt: the first Ctrl-C cancels ctx (the running job
+	// aborts, the job loop stops before the next job); the second falls back
+	// to the default signal action and kills the process.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sig := make(chan os.Signal, 1)
@@ -95,9 +95,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	all := []job{
-		{name: "table2", run: experiment.Table2},
-		{name: "table3", run: func() (string, error) { return experiment.Table3().String(), nil }},
-		{name: "table4", run: func() (string, error) { return experiment.Table4().String(), nil }},
+		{name: "table2", run: func(context.Context) (string, error) { return experiment.Table2() }},
+		{name: "table3", run: func(context.Context) (string, error) { return experiment.Table3().String(), nil }},
+		{name: "table4", run: func(context.Context) (string, error) { return experiment.Table4().String(), nil }},
 		tableJob("fig4", r.Figure4),
 		tableJob("fig5", r.Figure5),
 		tableJob("fig6", r.Figure6),
@@ -105,8 +105,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		tableJob("fig8", r.Figure8),
 		tableJob("fig9", r.Figure9),
 		tableJob("summary", r.Summary),
-		tableJob("delta", func() (*experiment.Table, error) { return r.DeltaTable(ctx) }),
-		{name: "ablation", run: func() (string, error) {
+		tableJob("delta", r.DeltaTable),
+		{name: "ablation", run: func(ctx context.Context) (string, error) {
 			// Stage-swap ablation (the pipeline-API regeneration of the
 			// paper's ablation argument) followed by the legacy
 			// option-switch variants.
@@ -114,7 +114,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return "", err
 			}
-			opts, err := r.Ablation()
+			opts, err := r.Ablation(ctx)
 			if err != nil {
 				return "", err
 			}
@@ -124,10 +124,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		tableJob("trigear", r.TriGearTable),
 		tableJob("oppsweep", r.OPPSweepTable),
 		tableJob("numa", r.NUMASweepTable),
-		tableJob("replication", func() (*experiment.Table, error) {
-			return experiment.ReplicationTable(nil)
+		tableJob("replication", func(ctx context.Context) (*experiment.Table, error) {
+			return r.ReplicationTable(ctx, nil)
 		}),
-		tableJob("classes", func() (*experiment.Table, error) {
+		tableJob("classes", func(ctx context.Context) (*experiment.Table, error) {
 			// The standard suite under every paper policy plus the GTS/EAS
 			// extensions (Linux joins implicitly as the reference).
 			return r.ClassTable(ctx, nil, nil, []string{
@@ -202,7 +202,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			if j.name != n {
 				continue
 			}
-			out, err := j.run()
+			out, err := j.run(ctx)
 			if err != nil {
 				return fmt.Errorf("%s: %w", j.name, err)
 			}

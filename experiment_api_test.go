@@ -70,7 +70,7 @@ func TestExperimentMatchesLegacyRunner(t *testing.T) {
 		t.Fatal("unknown composition NSync-1")
 	}
 	for _, cell := range res.Cells {
-		want, err := r.MixScore(comp, colab.Config2B4S, cell.Run.Policy)
+		want, err := r.ScenarioScore(context.Background(), comp.Spec(), colab.Config2B4S, cell.Run.Policy)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,8 +10,8 @@ import (
 // DetailTable runs the full paper matrix and reports every individual
 // (workload, config) cell — the per-bar values behind the aggregated
 // figures 5-9 — normalised to Linux.
-func (r *Runner) DetailTable() (*Table, error) {
-	cells, err := r.RunMatrix(context.TODO(), workload.Compositions(), cpu.EvaluatedConfigs(),
+func (r *Runner) DetailTable(ctx context.Context) (*Table, error) {
+	cells, err := r.RunMatrix(ctx, workload.Compositions(), cpu.EvaluatedConfigs(),
 		[]string{SchedWASH, SchedCOLAB})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"colab/internal/cpu"
@@ -12,7 +13,7 @@ import (
 // provided here as an extra): it runs one representative workload per class
 // on every config under all paper schedulers plus GTS and reports total
 // energy and energy-delay product, normalised to Linux.
-func (r *Runner) EnergyTable() (*Table, error) {
+func (r *Runner) EnergyTable(ctx context.Context) (*Table, error) {
 	reps := []string{"Sync-2", "NSync-2", "Comm-2", "Comp-2", "Rand-7"}
 	kinds := []string{SchedLinux, SchedWASH, SchedCOLAB, SchedGTS, SchedEAS}
 	t := &Table{
@@ -32,7 +33,7 @@ func (r *Runner) EnergyTable() (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				res, err := r.run(cfg, kind, w)
+				res, err := r.simulate(ctx, cfg, kind, w, nil)
 				if err != nil {
 					return nil, err
 				}

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func TestEnergyTable(t *testing.T) {
 		t.Skip("energy sweep is not -short friendly")
 	}
 	r := testRunner(t)
-	tab, err := r.EnergyTable()
+	tab, err := r.EnergyTable(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestReplicationTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed sweep is not -short friendly")
 	}
-	tab, err := ReplicationTable([]uint64{1, 2})
+	tab, err := testRunner(t).ReplicationTable(context.Background(), []uint64{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}

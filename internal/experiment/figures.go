@@ -22,7 +22,7 @@ func Figure4Benches() []string {
 
 // Figure4 reproduces the single-program study: H_NTT per benchmark on the
 // 2-big-2-little configuration under Linux, WASH and COLAB.
-func (r *Runner) Figure4() (*Table, error) {
+func (r *Runner) Figure4(ctx context.Context) (*Table, error) {
 	const threads = 4
 	cfg := cpu.Config2B2S
 	t := &Table{
@@ -33,7 +33,7 @@ func (r *Runner) Figure4() (*Table, error) {
 	for _, bench := range Figure4Benches() {
 		row := []string{bench}
 		for _, kind := range PaperSchedulers() {
-			s, err := r.SingleProgram(bench, threads, cfg, kind)
+			s, err := r.SingleProgram(ctx, bench, threads, cfg, kind)
 			if err != nil {
 				return nil, err
 			}
@@ -111,17 +111,17 @@ func classAggregate(cells []Cell, group func(Cell) (string, bool), groups []stri
 }
 
 // classCells runs the full paper matrix for the given classes.
-func (r *Runner) classCells(classes ...workload.Class) ([]Cell, error) {
+func (r *Runner) classCells(ctx context.Context, classes ...workload.Class) ([]Cell, error) {
 	var comps []workload.Composition
 	for _, cl := range classes {
 		comps = append(comps, workload.CompositionsByClass(cl)...)
 	}
-	return r.RunMatrix(context.TODO(), comps, cpu.EvaluatedConfigs(), []string{SchedWASH, SchedCOLAB})
+	return r.RunMatrix(ctx, comps, cpu.EvaluatedConfigs(), []string{SchedWASH, SchedCOLAB})
 }
 
 // Figure5 reproduces the Sync vs NSync class comparison.
-func (r *Runner) Figure5() (*Table, error) {
-	cells, err := r.classCells(workload.ClassSync, workload.ClassNSync)
+func (r *Runner) Figure5(ctx context.Context) (*Table, error) {
+	cells, err := r.classCells(ctx, workload.ClassSync, workload.ClassNSync)
 	if err != nil {
 		return nil, err
 	}
@@ -134,8 +134,8 @@ func (r *Runner) Figure5() (*Table, error) {
 }
 
 // Figure6 reproduces the Comm vs Comp class comparison.
-func (r *Runner) Figure6() (*Table, error) {
-	cells, err := r.classCells(workload.ClassComm, workload.ClassComp)
+func (r *Runner) Figure6(ctx context.Context) (*Table, error) {
+	cells, err := r.classCells(ctx, workload.ClassComm, workload.ClassComp)
 	if err != nil {
 		return nil, err
 	}
@@ -148,8 +148,8 @@ func (r *Runner) Figure6() (*Table, error) {
 }
 
 // Figure7 reproduces the random-mixed class results.
-func (r *Runner) Figure7() (*Table, error) {
-	cells, err := r.classCells(workload.ClassRand)
+func (r *Runner) Figure7(ctx context.Context) (*Table, error) {
+	cells, err := r.classCells(ctx, workload.ClassRand)
 	if err != nil {
 		return nil, err
 	}
@@ -162,8 +162,8 @@ func (r *Runner) Figure7() (*Table, error) {
 }
 
 // allCells runs the complete 26-workload matrix once (memoised).
-func (r *Runner) allCells(kinds []string) ([]Cell, error) {
-	return r.RunMatrix(context.TODO(), workload.Compositions(), cpu.EvaluatedConfigs(), kinds)
+func (r *Runner) allCells(ctx context.Context, kinds []string) ([]Cell, error) {
+	return r.RunMatrix(ctx, workload.Compositions(), cpu.EvaluatedConfigs(), kinds)
 }
 
 // coreCount maps a config name back to its total cores.
@@ -190,8 +190,8 @@ func maxEvaluatedCores() int {
 
 // Figure8 regroups all workloads by thread count: low (< cores of the
 // config) vs high (>= 2x the maximum core count).
-func (r *Runner) Figure8() (*Table, error) {
-	cells, err := r.allCells([]string{SchedWASH, SchedCOLAB})
+func (r *Runner) Figure8(ctx context.Context) (*Table, error) {
+	cells, err := r.allCells(ctx, []string{SchedWASH, SchedCOLAB})
 	if err != nil {
 		return nil, err
 	}
@@ -217,8 +217,8 @@ func (r *Runner) Figure8() (*Table, error) {
 }
 
 // Figure9 regroups all workloads by program count (2- vs 4-programmed).
-func (r *Runner) Figure9() (*Table, error) {
-	cells, err := r.allCells([]string{SchedWASH, SchedCOLAB})
+func (r *Runner) Figure9(ctx context.Context) (*Table, error) {
+	cells, err := r.allCells(ctx, []string{SchedWASH, SchedCOLAB})
 	if err != nil {
 		return nil, err
 	}
@@ -243,8 +243,8 @@ func (r *Runner) Figure9() (*Table, error) {
 
 // Summary reproduces the paper's closing aggregate over the full matrix
 // ("In summary from all 312 experiments...").
-func (r *Runner) Summary() (*Table, error) {
-	cells, err := r.allCells([]string{SchedWASH, SchedCOLAB})
+func (r *Runner) Summary(ctx context.Context) (*Table, error) {
+	cells, err := r.allCells(ctx, []string{SchedWASH, SchedCOLAB})
 	if err != nil {
 		return nil, err
 	}
@@ -273,12 +273,12 @@ func (r *Runner) Summary() (*Table, error) {
 
 // Ablation compares COLAB against its single-feature-disabled variants and
 // GTS on representative classes (DESIGN.md's design-choice index).
-func (r *Runner) Ablation() (*Table, error) {
+func (r *Runner) Ablation(ctx context.Context) (*Table, error) {
 	comps := append(workload.CompositionsByClass(workload.ClassSync),
 		workload.CompositionsByClass(workload.ClassRand)...)
 	cfgs := []cpu.Config{cpu.Config2B2S, cpu.Config4B4S}
 	kinds := AblationSchedulers()
-	cells, err := r.RunMatrix(context.TODO(), comps, cfgs, kinds)
+	cells, err := r.RunMatrix(ctx, comps, cfgs, kinds)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func TestFiguresShareOneMatrix(t *testing.T) {
 	}
 	r := testRunner(t)
 
-	fig5, err := r.Figure5()
+	fig5, err := r.Figure5(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestFiguresShareOneMatrix(t *testing.T) {
 	assertGroupRow(t, fig5.Rows, "Sync")
 	assertGroupRow(t, fig5.Rows, "NSync")
 
-	fig8, err := r.Figure8()
+	fig8, err := r.Figure8(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,14 +42,14 @@ func TestFiguresShareOneMatrix(t *testing.T) {
 		t.Errorf("thread-low COLAB H_ANTT %.3f not better than thread-high %.3f", low, high)
 	}
 
-	fig9, err := r.Figure9()
+	fig9, err := r.Figure9(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertGroupRow(t, fig9.Rows, "2-programmed")
 	assertGroupRow(t, fig9.Rows, "4-programmed")
 
-	sum, err := r.Summary()
+	sum, err := r.Summary(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestFiguresShareOneMatrix(t *testing.T) {
 		t.Errorf("headline ordering broken: colab %.3f, wash %.3f", colabANTT, washANTT)
 	}
 
-	det, err := r.DetailTable()
+	det, err := r.DetailTable(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestOptionsAblationTable(t *testing.T) {
 		t.Skip("ablation sweep is not -short friendly")
 	}
 	r := testRunner(t)
-	tab, err := r.Ablation()
+	tab, err := r.Ablation(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

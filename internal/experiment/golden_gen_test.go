@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
@@ -34,7 +35,7 @@ func goldenPaperLines(t *testing.T) []string {
 		}
 		for _, cfg := range cpu.EvaluatedConfigs() {
 			for _, kind := range kinds {
-				s, err := r.MixScore(comp, cfg, kind)
+				s, err := r.ScenarioScore(context.Background(), comp.Spec(), cfg, kind)
 				if err != nil {
 					t.Fatalf("mix %s %s %s: %v", idx, cfg.Name, kind, err)
 				}
@@ -44,7 +45,7 @@ func goldenPaperLines(t *testing.T) []string {
 	}
 	for _, abl := range []string{SchedCOLABNoScale, SchedCOLABLocal, SchedCOLABFlat, SchedCOLABNoPull, SchedCOLABOracle} {
 		comp, _ := workload.CompositionByIndex("Sync-2")
-		s, err := r.MixScore(comp, cpu.Config2B2S, abl)
+		s, err := r.ScenarioScore(context.Background(), comp.Spec(), cpu.Config2B2S, abl)
 		if err != nil {
 			t.Fatalf("ablation %s: %v", abl, err)
 		}
@@ -52,7 +53,7 @@ func goldenPaperLines(t *testing.T) []string {
 	}
 	for _, bench := range []string{"radix", "ferret", "fluidanimate"} {
 		for _, kind := range PaperSchedulers() {
-			s, err := r.SingleProgram(bench, 4, cpu.Config2B2S, kind)
+			s, err := r.SingleProgram(context.Background(), bench, 4, cpu.Config2B2S, kind)
 			if err != nil {
 				t.Fatalf("single %s %s: %v", bench, kind, err)
 			}
@@ -65,7 +66,7 @@ func goldenPaperLines(t *testing.T) []string {
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}
-		res, err := r.run(cpu.Config2B4S, kind, w)
+		res, err := r.simulate(context.Background(), cpu.Config2B4S, kind, w, nil)
 		if err != nil {
 			t.Fatalf("energy run %s: %v", kind, err)
 		}

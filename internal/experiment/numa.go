@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"colab/internal/cpu"
@@ -25,23 +26,18 @@ func NUMASweepCosts() []float64 {
 // Linux at the same cost (what topology-aware placement buys back). The
 // zero-cost row exercises the reduction guarantee: it is bit-identical to
 // the same palette with no topology at all.
-func (r *Runner) NUMASweepTable() (*Table, error) {
+func (r *Runner) NUMASweepTable(ctx context.Context) (*Table, error) {
 	cfg := cpu.Config2x2B2S
 	const idx = "Rand-7"
 	comp, ok := workload.CompositionByIndex(idx)
 	if !ok {
 		return nil, fmt.Errorf("experiment: unknown workload %s", idx)
 	}
-	// Baselines are solo runs on a big core: no migrations happen, so the
-	// flat palette keeps them identical across every cost row.
-	flat := cfg.Flat()
-	bases := make([]sim.Time, len(comp.Parts))
-	for i := range comp.Parts {
-		b, err := r.baselineBig(comp, i, flat)
-		if err != nil {
-			return nil, err
-		}
-		bases[i] = b
+	// Baselines run on the symmetric all-big machine, which has no
+	// topology, so every cost row shares them.
+	bases, err := r.bases(ctx, comp.Spec(), cfg.NumCores())
+	if err != nil {
+		return nil, err
 	}
 	type cell struct {
 		score metrics.MixScore
@@ -53,7 +49,7 @@ func (r *Runner) NUMASweepTable() (*Table, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		res, err := r.run(c, kind, w)
+		res, err := r.simulate(ctx, c, kind, w, nil)
 		if err != nil {
 			return cell{}, fmt.Errorf("experiment: NUMA sweep %s under %s: %w", c.Name, kind, err)
 		}

@@ -12,7 +12,7 @@ import (
 
 func TestNUMASweepTable(t *testing.T) {
 	r := testRunner(t)
-	tbl, err := r.NUMASweepTable()
+	tbl, err := r.NUMASweepTable(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,11 +91,11 @@ func TestOpenScenarioScoresDifferFromClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := r.ScenarioScore(closed, cpu.Config2B2S, SchedCOLAB)
+	sc, err := r.ScenarioScore(context.Background(), closed, cpu.Config2B2S, SchedCOLAB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	so, err := r.ScenarioScore(open, cpu.Config2B2S, SchedCOLAB)
+	so, err := r.ScenarioScore(context.Background(), open, cpu.Config2B2S, SchedCOLAB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,11 +146,11 @@ func TestCanonicalIdentityWithTieredContext(t *testing.T) {
 		if !ok {
 			t.Fatalf("no canonical composition for %s", name)
 		}
-		mono, err := r.MixScore(comp, cpu.Config2B2M2S, name)
+		mono, err := r.ScenarioScore(context.Background(), comp.Spec(), cpu.Config2B2M2S, name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pipe, err := r.MixScore(comp, cpu.Config2B2M2S, canonical)
+		pipe, err := r.ScenarioScore(context.Background(), comp.Spec(), cpu.Config2B2M2S, canonical)
 		if err != nil {
 			t.Fatal(err)
 		}

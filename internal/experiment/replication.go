@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -15,38 +16,42 @@ import (
 // workloads are re-generated under several seeds and the
 // normalised-to-Linux H_ANTT of WASH and COLAB is reported as mean +/- std.
 // The paper controls variance by averaging two core orders (§5.1); this
-// extension makes the residual workload-generation variance visible.
-func ReplicationTable(seeds []uint64) (*Table, error) {
+// extension makes the residual workload-generation variance visible. The
+// seeds run as one Batch on the runner's cell Cache, so cells at the
+// runner's own seed are shared with its other tables.
+func (r *Runner) ReplicationTable(ctx context.Context, seeds []uint64) (*Table, error) {
 	if len(seeds) == 0 {
 		seeds = []uint64{1, 2, 3, 4, 5}
 	}
 	reps := []string{"Sync-2", "Comm-2", "Rand-7"}
+	kinds := []string{SchedLinux, SchedWASH, SchedCOLAB}
 	cfg := cpu.Config2B2S
-	t := &Table{
-		Title:  fmt.Sprintf("Replication: H_ANTT vs Linux over %d seeds on %s (mean +/- std)", len(seeds), cfg.Name),
-		Header: []string{"workload", "wash", "colab"},
-	}
-	for _, idx := range reps {
+	specs := make([]workload.Spec, len(reps))
+	for i, idx := range reps {
 		comp, ok := workload.CompositionByIndex(idx)
 		if !ok {
 			return nil, fmt.Errorf("experiment: unknown workload %s", idx)
 		}
+		specs[i] = comp.Spec()
+	}
+	b := r.batch(specs, []cpu.Config{cfg}, kinds)
+	b.Seeds = seeds
+	res, err := b.Run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	t := &Table{
+		Title:  fmt.Sprintf("Replication: H_ANTT vs Linux over %d seeds on %s (mean +/- std)", len(seeds), cfg.Name),
+		Header: []string{"workload", "wash", "colab"},
+	}
+	for wi, idx := range reps {
 		vals := map[string][]float64{}
-		for _, seed := range seeds {
-			r, err := NewRunner(seed)
-			if err != nil {
-				return nil, err
-			}
-			ref, err := r.MixScore(comp, cfg, SchedLinux)
-			if err != nil {
-				return nil, err
-			}
-			for _, kind := range []string{SchedWASH, SchedCOLAB} {
-				s, err := r.MixScore(comp, cfg, kind)
-				if err != nil {
-					return nil, err
-				}
-				vals[kind] = append(vals[kind], s.HANTT/ref.HANTT)
+		for si := range seeds {
+			// res is in cross-product order: seeds outermost, kinds
+			// innermost, Linux first in each row.
+			row := res[(si*len(specs)+wi)*len(kinds):]
+			for ki := 1; ki < len(kinds); ki++ {
+				vals[kinds[ki]] = append(vals[kinds[ki]], row[ki].Score.HANTT/row[0].Score.HANTT)
 			}
 		}
 		t.AddRow(idx,

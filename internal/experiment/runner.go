@@ -50,8 +50,9 @@ func AblationSchedulers() []string {
 }
 
 // Runner executes and memoises simulations. It is safe for concurrent use.
-// Every matrix-shaped entry point, down to a single MixScore, is one Batch
-// run on the runner's cell Cache.
+// Every matrix-shaped entry point, down to a single ScenarioScore, is one
+// Batch run on the runner's cell Cache, and every simulation it runs goes
+// through simulate.
 type Runner struct {
 	// Speedup is the online predictor given to the AMP-aware schedulers.
 	// Defaults to the lazily trained standard model.
@@ -120,19 +121,19 @@ func (r *Runner) batch(specs []workload.Spec, cfgs []cpu.Config, kinds []string)
 	}
 }
 
-// run executes one workload on one machine variant.
-func (r *Runner) run(cfg cpu.Config, kind string, w *task.Workload) (*kernel.Result, error) {
-	return r.runCtx(context.Background(), cfg, kind, w, nil)
-}
-
-// runCtx is run with cooperative cancellation and an optional per-event
-// tracer.
-func (r *Runner) runCtx(ctx context.Context, cfg cpu.Config, kind string, w *task.Workload, tracer func(kernel.TraceEvent)) (*kernel.Result, error) {
-	s, err := r.NewScheduler(kind)
-	if err != nil {
-		return nil, err
+// simulate is the package's one way to run a simulation: w on the machine
+// layout under sched — a registry kind (string) or a ready
+// kernel.Scheduler — honouring ctx, with every scheduling event handed to a
+// non-nil tracer.
+func (r *Runner) simulate(ctx context.Context, layout cpu.Config, sched any, w *task.Workload, tracer func(kernel.TraceEvent)) (*kernel.Result, error) {
+	s, ok := sched.(kernel.Scheduler)
+	if !ok {
+		var err error
+		if s, err = r.NewScheduler(sched.(string)); err != nil {
+			return nil, err
+		}
 	}
-	m, err := kernel.NewMachine(cfg, s, w, r.Params)
+	m, err := kernel.NewMachine(layout, s, w, r.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -166,57 +167,57 @@ func specAlone(spec workload.Spec, appIdx int, seed uint64) (*task.Workload, err
 	return &task.Workload{Name: spec.Name + "/" + app.Name, Apps: []*task.App{app}}, nil
 }
 
-// baselineBig is baselineBigCtx for Table 4 compositions (the trigear and
-// OPP-sweep tables read baselines directly).
-func (r *Runner) baselineBig(comp workload.Composition, appIdx int, cfg cpu.Config) (sim.Time, error) {
-	return r.baselineBigCtx(context.Background(), comp.Spec(), appIdx, cfg)
-}
-
-// baselineBigCtx returns (cached) the turnaround of scenario app appIdx
-// running alone on an all-big machine with the same core count as cfg.
-// The cache key is the CellKey of the baseline run itself — the closed
-// canonical form of the scenario under linux on the symmetric big machine
-// — plus the app index, so arrival variants of one mix share their
-// baselines and every shard derives the same key independently.
-func (r *Runner) baselineBigCtx(ctx context.Context, spec workload.Spec, appIdx int, cfg cpu.Config) (sim.Time, error) {
-	n := cfg.NumCores()
-	key := BaselineKey(spec, appIdx, n, r.Seed, r.Params)
+// alone returns the turnaround of the one app build returns, run alone
+// under Linux on an all-big machine of the given core count, memoised under
+// key.
+func (r *Runner) alone(ctx context.Context, key string, cores int, build func() (*task.Workload, error)) (sim.Time, error) {
 	r.mu.Lock()
-	if v, ok := r.baselines[key]; ok {
-		r.mu.Unlock()
+	v, ok := r.baselines[key]
+	r.mu.Unlock()
+	if ok {
 		return v, nil
 	}
-	r.mu.Unlock()
-	w, err := specAlone(spec, appIdx, r.Seed)
+	w, err := build()
 	if err != nil {
 		return 0, err
 	}
-	res, err := r.runCtx(ctx, cpu.NewSymmetric(cpu.Big, n), SchedLinux, w, nil)
+	res, err := r.simulate(ctx, cpu.NewSymmetric(cpu.Big, cores), SchedLinux, w, nil)
 	if err != nil {
-		return 0, fmt.Errorf("experiment: baseline %s app %d: %w", spec.Name, appIdx, err)
+		return 0, err
 	}
-	v := res.Apps[0].Turnaround
+	v = res.Apps[0].Turnaround
 	r.mu.Lock()
 	r.baselines[key] = v
 	r.mu.Unlock()
 	return v, nil
 }
 
+// bases returns the big-only-alone turnaround of every app of spec on a
+// machine of the given core count. Each is memoised under its BaselineKey —
+// the CellKey of the baseline run itself, so arrival variants of one mix
+// share their baselines and every shard derives the same key independently.
+func (r *Runner) bases(ctx context.Context, spec workload.Spec, cores int) ([]sim.Time, error) {
+	out := make([]sim.Time, spec.NumApps())
+	for i := range out {
+		b, err := r.alone(ctx, BaselineKey(spec, i, cores, r.Seed, r.Params), cores,
+			func() (*task.Workload, error) { return specAlone(spec, i, r.Seed) })
+		if err != nil {
+			return nil, fmt.Errorf("experiment: baseline %s app %d: %w", spec.Name, i, err)
+		}
+		out[i] = b
+	}
+	return out, nil
+}
+
 // ---------------------------------------------------------------------------
 // Mix experiments.
 
-// MixScore returns the H_ANTT / H_STP of one (workload, config, scheduler)
-// cell, averaged over the two core orders, memoised.
-func (r *Runner) MixScore(comp workload.Composition, cfg cpu.Config, kind string) (metrics.MixScore, error) {
-	return r.ScenarioScore(comp.Spec(), cfg, kind)
-}
-
-// ScenarioScore is MixScore for a grammar/registry scenario spec: the
-// auto-baselined H_ANTT / H_STP of one (scenario, config, scheduler) cell,
-// averaged over the two core orders, memoised. Open-system scenarios score
-// each app's turnaround from its own arrival time.
-func (r *Runner) ScenarioScore(spec workload.Spec, cfg cpu.Config, kind string) (metrics.MixScore, error) {
-	cells, err := r.batch([]workload.Spec{spec}, []cpu.Config{cfg}, []string{kind}).Run(context.Background())
+// ScenarioScore returns the auto-baselined H_ANTT / H_STP of one
+// (scenario, config, scheduler) cell, averaged over the two core orders,
+// memoised in the runner's cell Cache. Open-system scenarios score each app's
+// turnaround from its own arrival time.
+func (r *Runner) ScenarioScore(ctx context.Context, spec workload.Spec, cfg cpu.Config, kind string) (metrics.MixScore, error) {
+	cells, err := r.batch([]workload.Spec{spec}, []cpu.Config{cfg}, []string{kind}).Run(ctx)
 	if err != nil {
 		return metrics.MixScore{}, err
 	}
@@ -240,13 +241,9 @@ func BaselineKey(spec workload.Spec, appIdx, cores int, seed uint64, params kern
 // tracer receives every scheduling event of the two mix runs (baseline runs
 // are not traced).
 func (r *Runner) specScore(ctx context.Context, spec workload.Spec, cfg cpu.Config, kind string, tracer func(bigFirst bool, ev kernel.TraceEvent)) (metrics.MixScore, error) {
-	bases := make([]sim.Time, spec.NumApps())
-	for i := range bases {
-		b, err := r.baselineBigCtx(ctx, spec, i, cfg)
-		if err != nil {
-			return metrics.MixScore{}, err
-		}
-		bases[i] = b
+	bases, err := r.bases(ctx, spec, cfg.NumCores())
+	if err != nil {
+		return metrics.MixScore{}, err
 	}
 	var total metrics.MixScore
 	orders := []bool{true, false} // big-first, little-first (§5.1)
@@ -261,7 +258,7 @@ func (r *Runner) specScore(ctx context.Context, spec workload.Spec, cfg cpu.Conf
 			bf := bigFirst
 			tr = func(ev kernel.TraceEvent) { tracer(bf, ev) }
 		}
-		res, err := r.runCtx(ctx, variant, kind, w, tr)
+		res, err := r.simulate(ctx, variant, kind, w, tr)
 		if err != nil {
 			return metrics.MixScore{}, fmt.Errorf("experiment: %s on %s under %s: %w", spec.Name, variant.Name, kind, err)
 		}
@@ -353,35 +350,12 @@ type SingleScore struct {
 	HNTT  float64
 }
 
-// singleBaseline caches the big-only-alone turnaround of a single-program
-// workload.
-func (r *Runner) singleBaseline(bench string, threads, cores int) (sim.Time, error) {
-	key := fmt.Sprintf("single|%s|%d|%d|%d", bench, threads, cores, r.Seed)
-	r.mu.Lock()
-	if v, ok := r.baselines[key]; ok {
-		r.mu.Unlock()
-		return v, nil
-	}
-	r.mu.Unlock()
-	w, err := workload.SingleProgram(bench, threads, r.Seed)
-	if err != nil {
-		return 0, err
-	}
-	res, err := r.run(cpu.NewSymmetric(cpu.Big, cores), SchedLinux, w)
-	if err != nil {
-		return 0, err
-	}
-	v := res.Apps[0].Turnaround
-	r.mu.Lock()
-	r.baselines[key] = v
-	r.mu.Unlock()
-	return v, nil
-}
-
 // SingleProgram evaluates one benchmark alone on cfg under kind, averaged
 // over core orders, returning H_NTT.
-func (r *Runner) SingleProgram(bench string, threads int, cfg cpu.Config, kind string) (SingleScore, error) {
-	base, err := r.singleBaseline(bench, threads, cfg.NumCores())
+func (r *Runner) SingleProgram(ctx context.Context, bench string, threads int, cfg cpu.Config, kind string) (SingleScore, error) {
+	build := func() (*task.Workload, error) { return workload.SingleProgram(bench, threads, r.Seed) }
+	n := cfg.NumCores()
+	base, err := r.alone(ctx, fmt.Sprintf("single|%s|%d|%d|%d", bench, threads, n, r.Seed), n, build)
 	if err != nil {
 		return SingleScore{}, err
 	}
@@ -389,11 +363,11 @@ func (r *Runner) SingleProgram(bench string, threads int, cfg cpu.Config, kind s
 	orders := []bool{true, false}
 	for _, bigFirst := range orders {
 		variant := cfg.Ordered(bigFirst)
-		w, err := workload.SingleProgram(bench, threads, r.Seed)
+		w, err := build()
 		if err != nil {
 			return SingleScore{}, err
 		}
-		res, err := r.run(variant, kind, w)
+		res, err := r.simulate(ctx, variant, kind, w, nil)
 		if err != nil {
 			return SingleScore{}, fmt.Errorf("experiment: single %s on %s under %s: %w", bench, variant.Name, kind, err)
 		}

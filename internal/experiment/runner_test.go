@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -40,7 +41,7 @@ func TestNewSchedulerKinds(t *testing.T) {
 func TestMixScoreMemoized(t *testing.T) {
 	r := testRunner(t)
 	comp, _ := workload.CompositionByIndex("Sync-1")
-	s1, err := r.MixScore(comp, cpu.Config2B2S, SchedLinux)
+	s1, err := r.ScenarioScore(context.Background(), comp.Spec(), cpu.Config2B2S, SchedLinux)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestMixScoreMemoized(t *testing.T) {
 	if s1.HANTT < 1 {
 		t.Fatalf("H_ANTT %v < 1 against big-only baseline", s1.HANTT)
 	}
-	s2, err := r.MixScore(comp, cpu.Config2B2S, SchedLinux)
+	s2, err := r.ScenarioScore(context.Background(), comp.Spec(), cpu.Config2B2S, SchedLinux)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestAppAlonePreservesThePrograms(t *testing.T) {
 
 func TestSingleProgramScore(t *testing.T) {
 	r := testRunner(t)
-	s, err := r.SingleProgram("swaptions", 4, cpu.Config2B2S, SchedLinux)
+	s, err := r.SingleProgram(context.Background(), "swaptions", 4, cpu.Config2B2S, SchedLinux)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestFigure4ShapeHolds(t *testing.T) {
 		t.Skip("full single-program sweep is not -short friendly")
 	}
 	r := testRunner(t)
-	tab, err := r.Figure4()
+	tab, err := r.Figure4(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,12 +185,47 @@ func TestFigure4ShapeHolds(t *testing.T) {
 func TestOracleAblationRuns(t *testing.T) {
 	r := testRunner(t)
 	comp, _ := workload.CompositionByIndex("Sync-1")
-	s, err := r.MixScore(comp, cpu.Config2B2S, SchedCOLABOracle)
+	s, err := r.ScenarioScore(context.Background(), comp.Spec(), cpu.Config2B2S, SchedCOLABOracle)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.HANTT <= 0 {
 		t.Fatalf("oracle score %+v", s)
+	}
+}
+
+// Every Runner table honours its ctx: on an already-cancelled one it
+// returns context.Canceled instead of running its simulations.
+func TestTablesHonourCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := testRunner(t)
+	tables := []struct {
+		name string
+		run  func(context.Context) (*Table, error)
+	}{
+		{"Figure4", r.Figure4},
+		{"Figure5", r.Figure5},
+		{"Figure6", r.Figure6},
+		{"Figure7", r.Figure7},
+		{"Figure8", r.Figure8},
+		{"Figure9", r.Figure9},
+		{"Summary", r.Summary},
+		{"DeltaTable", r.DeltaTable},
+		{"DetailTable", r.DetailTable},
+		{"AblationTable", r.AblationTable},
+		{"Ablation", r.Ablation},
+		{"ClassTable", func(ctx context.Context) (*Table, error) { return r.ClassTable(ctx, nil, nil, nil) }},
+		{"ReplicationTable", func(ctx context.Context) (*Table, error) { return r.ReplicationTable(ctx, nil) }},
+		{"EnergyTable", r.EnergyTable},
+		{"TriGearTable", r.TriGearTable},
+		{"OPPSweepTable", r.OPPSweepTable},
+		{"NUMASweepTable", r.NUMASweepTable},
+	}
+	for _, tc := range tables {
+		if _, err := tc.run(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s on a cancelled ctx: err = %v, want context.Canceled", tc.name, err)
+		}
 	}
 }
 

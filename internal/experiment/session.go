@@ -28,7 +28,7 @@ type BatchKey struct {
 
 // BatchCell is one scored cell. Score is the auto-baselined H_ANTT / H_STP
 // pair (big-only-alone baselines, averaged over big-first and little-first
-// core orders — exactly what Runner.MixScore computes).
+// core orders — exactly what Runner.ScenarioScore computes).
 type BatchCell struct {
 	Key   BatchKey
 	Score metrics.MixScore
@@ -246,7 +246,7 @@ func (b *Batch) Run(ctx context.Context) ([]BatchCell, error) {
 		workers = len(jobs)
 	}
 
-	runCtx, cancel := context.WithCancel(ctx)
+	cellCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make([]BatchCell, len(jobs))
 	var (
@@ -288,7 +288,7 @@ func (b *Batch) Run(ctx context.Context) ([]BatchCell, error) {
 			defer wg.Done()
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(jobs) || runCtx.Err() != nil {
+				if i >= len(jobs) || cellCtx.Err() != nil {
 					return
 				}
 				j := jobs[i]
@@ -319,10 +319,10 @@ func (b *Batch) Run(ctx context.Context) ([]BatchCell, error) {
 						if b.Tracer != nil {
 							tracer = func(bigFirst bool, ev kernel.TraceEvent) { b.Tracer(j.key, bigFirst, ev) }
 						}
-						return j.rn.specScore(runCtx, j.spec, j.cfg, j.key.Policy, tracer)
+						return j.rn.specScore(cellCtx, j.spec, j.cfg, j.key.Policy, tracer)
 					}
 					if b.Cache != nil {
-						score, cached, err = b.Cache.Do(runCtx, j.ck, compute)
+						score, cached, err = b.Cache.Do(cellCtx, j.ck, compute)
 					} else {
 						score, err = compute()
 					}

@@ -30,23 +30,23 @@ func TestTablesGolden(t *testing.T) {
 		}
 		out.WriteString(tab.String() + "\n")
 	}
-	add(r.Figure4())
-	add(r.Figure5())
-	add(r.Figure6())
-	add(r.Figure7())
-	add(r.Figure8())
-	add(r.Figure9())
-	add(r.Summary())
+	add(r.Figure4(ctx))
+	add(r.Figure5(ctx))
+	add(r.Figure6(ctx))
+	add(r.Figure7(ctx))
+	add(r.Figure8(ctx))
+	add(r.Figure9(ctx))
+	add(r.Summary(ctx))
 	add(r.DeltaTable(ctx))
-	add(r.DetailTable())
+	add(r.DetailTable(ctx))
 	add(r.AblationTable(ctx))
-	add(r.Ablation())
+	add(r.Ablation(ctx))
 	add(r.ClassTable(ctx, nil, nil, []string{SchedWASH, SchedCOLAB, SchedGTS, SchedEAS}))
-	add(ReplicationTable(nil))
-	add(r.EnergyTable())
-	add(r.TriGearTable())
-	add(r.OPPSweepTable())
-	add(r.NUMASweepTable())
+	add(r.ReplicationTable(ctx, nil))
+	add(r.EnergyTable(ctx))
+	add(r.TriGearTable(ctx))
+	add(r.OPPSweepTable(ctx))
+	add(r.NUMASweepTable(ctx))
 	cells, err := r.RunMatrix(ctx, workload.Compositions(), cpu.EvaluatedConfigs(), []string{SchedWASH, SchedCOLAB})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"colab/internal/cpu"
@@ -47,91 +48,61 @@ func nominalResidency(res *kernel.Result) float64 {
 // TriGearTable is the multi-tier extension study: the six TriGearSchedulers
 // (the five PR-1 policies plus COLAB with its native DVFS governor) on the
 // 2B2M2S DynamIQ-style machine (two big, two medium, two little cores,
-// every tier with a DVFS ladder). H_ANTT / H_STP are averaged over the two
-// core orders and normalised to Linux, like the paper tables; the energy,
-// EDP and frequency-residency columns come from the big-first run and
-// exercise the per-OPP power model (EAS and colab-dvfs program the
-// ladders; every other policy runs fixed at nominal).
-func (r *Runner) TriGearTable() (*Table, error) {
+// every tier with a DVFS ladder). H_ANTT / H_STP come from one
+// ScenarioMatrix run, averaged over the two core orders and normalised to
+// Linux like the paper tables; the energy, EDP and frequency-residency
+// columns come from one extra big-first run per cell and exercise the
+// per-OPP power model (EAS and colab-dvfs program the ladders; every other
+// policy runs fixed at nominal).
+func (r *Runner) TriGearTable(ctx context.Context) (*Table, error) {
 	cfg := cpu.Config2B2M2S
 	kinds := TriGearSchedulers()
 	t := &Table{
 		Title:  fmt.Sprintf("Tri-gear extension: policies on %s (normalised to Linux)", cfg.Name),
 		Header: []string{"sched", "H_ANTT", "H_STP", "energy", "EDP", "f@nom"},
 	}
-	type cell struct {
-		score metrics.MixScore
-		e     float64
-		edp   float64
-		fnom  float64
-	}
-	perSched := map[string]struct {
-		antt, stp, e, edp, fnom []float64
-	}{}
+	var comps []workload.Composition
 	for _, idx := range TriGearWorkloads() {
 		comp, ok := workload.CompositionByIndex(idx)
 		if !ok {
 			return nil, fmt.Errorf("experiment: unknown workload %s", idx)
 		}
-		bases := make([]sim.Time, len(comp.Parts))
-		for i := range comp.Parts {
-			b, err := r.baselineBig(comp, i, cfg)
-			if err != nil {
-				return nil, err
-			}
-			bases[i] = b
-		}
-		// One simulation per core order per scheduler: the scores average
-		// both orders (as the paper does) and the energy columns read the
-		// big-first Result directly.
-		eval := func(kind string) (cell, error) {
-			var c cell
-			orders := []bool{true, false}
-			for _, bigFirst := range orders {
-				w, err := comp.Build(r.Seed)
-				if err != nil {
-					return cell{}, err
-				}
-				res, err := r.run(cfg.Ordered(bigFirst), kind, w)
-				if err != nil {
-					return cell{}, fmt.Errorf("experiment: %s on %s under %s: %w", idx, cfg.Name, kind, err)
-				}
-				score, err := metrics.Score(res, func(i int, _ kernel.AppResult) sim.Time { return bases[i] })
-				if err != nil {
-					return cell{}, err
-				}
-				c.score.HANTT += score.HANTT / float64(len(orders))
-				c.score.HSTP += score.HSTP / float64(len(orders))
-				if bigFirst {
-					c.e, c.edp = res.TotalEnergyJ(), res.EnergyDelayProduct()
-					c.fnom = nominalResidency(res)
-				}
-			}
-			return c, nil
-		}
-		ref, err := eval(SchedLinux)
+		comps = append(comps, comp)
+	}
+	cells, err := r.RunMatrix(ctx, comps, []cpu.Config{cfg}, kinds)
+	if err != nil {
+		return nil, err
+	}
+	perSched := map[string]struct {
+		antt, stp, e, edp, fnom []float64
+	}{}
+	// cells hold one row of kinds per workload; kinds lead with Linux, so
+	// each row's energy reference is set before any other policy reads it.
+	var ref [2]float64 // Linux {energy, EDP} of the current workload
+	for i, c := range cells {
+		comp := comps[i/len(kinds)]
+		w, err := comp.Build(r.Seed)
 		if err != nil {
 			return nil, err
 		}
-		if ref.e <= 0 || ref.edp <= 0 {
-			return nil, fmt.Errorf("experiment: missing linux energy reference for %s", idx)
+		res, err := r.simulate(ctx, cfg.Ordered(true), c.Sched, w, nil)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: %s on %s under %s: %w", comp.Index, cfg.Name, c.Sched, err)
 		}
-		for _, kind := range kinds {
-			c := ref
-			if kind != SchedLinux {
-				if c, err = eval(kind); err != nil {
-					return nil, err
-				}
+		e, edp := res.TotalEnergyJ(), res.EnergyDelayProduct()
+		if c.Sched == SchedLinux {
+			if e <= 0 || edp <= 0 {
+				return nil, fmt.Errorf("experiment: missing linux energy reference for %s", comp.Index)
 			}
-			agg := perSched[kind]
-			norm := metrics.Normalized(c.score, ref.score)
-			agg.antt = append(agg.antt, norm.HANTT)
-			agg.stp = append(agg.stp, norm.HSTP)
-			agg.e = append(agg.e, c.e/ref.e)
-			agg.edp = append(agg.edp, c.edp/ref.edp)
-			agg.fnom = append(agg.fnom, c.fnom)
-			perSched[kind] = agg
+			ref = [2]float64{e, edp}
 		}
+		agg := perSched[c.Sched]
+		agg.antt = append(agg.antt, c.Norm.HANTT)
+		agg.stp = append(agg.stp, c.Norm.HSTP)
+		agg.e = append(agg.e, e/ref[0])
+		agg.edp = append(agg.edp, edp/ref[1])
+		agg.fnom = append(agg.fnom, nominalResidency(res))
+		perSched[c.Sched] = agg
 	}
 	for _, kind := range kinds {
 		agg := perSched[kind]
@@ -169,20 +140,16 @@ func (f fixedOPPSched) SelectOPP(*kernel.Core, *task.Thread) int { return f.idx 
 // run; energy is absolute joules. The sweep quantifies what the governor is
 // trading: pinning low saves energy but stretches turnaround, the governor
 // recovers the turnaround while keeping most of the savings.
-func (r *Runner) OPPSweepTable() (*Table, error) {
+func (r *Runner) OPPSweepTable(ctx context.Context) (*Table, error) {
 	cfg := cpu.Config2B2M2S
 	const idx = "Rand-7"
 	comp, ok := workload.CompositionByIndex(idx)
 	if !ok {
 		return nil, fmt.Errorf("experiment: unknown workload %s", idx)
 	}
-	bases := make([]sim.Time, len(comp.Parts))
-	for i := range comp.Parts {
-		b, err := r.baselineBig(comp, i, cfg)
-		if err != nil {
-			return nil, err
-		}
-		bases[i] = b
+	bases, err := r.bases(ctx, comp.Spec(), cfg.NumCores())
+	if err != nil {
+		return nil, err
 	}
 	maxOPPs := 0
 	for _, tier := range cfg.Tiers() {
@@ -197,23 +164,14 @@ func (r *Runner) OPPSweepTable() (*Table, error) {
 		edp   float64
 		fnom  float64
 	}
-	eval := func(name, kind string, pin int) (row, error) {
-		s, err := r.NewScheduler(kind)
-		if err != nil {
-			return row{}, err
-		}
-		if pin >= 0 {
-			s = fixedOPPSched{s, pin}
-		}
+	// sched is a registry kind or a ready (pinned) scheduler, as simulate
+	// takes it.
+	eval := func(name string, sched any) (row, error) {
 		w, err := comp.Build(r.Seed)
 		if err != nil {
 			return row{}, err
 		}
-		m, err := kernel.NewMachine(cfg, s, w, r.Params)
-		if err != nil {
-			return row{}, err
-		}
-		res, err := m.Run()
+		res, err := r.simulate(ctx, cfg, sched, w, nil)
 		if err != nil {
 			return row{}, fmt.Errorf("experiment: OPP sweep %s: %w", name, err)
 		}
@@ -229,13 +187,17 @@ func (r *Runner) OPPSweepTable() (*Table, error) {
 		if opp == maxOPPs-1 {
 			name = "colab @nominal"
 		}
-		rw, err := eval(name, SchedCOLAB, opp)
+		s, err := r.NewScheduler(SchedCOLAB)
+		if err != nil {
+			return nil, err
+		}
+		rw, err := eval(name, fixedOPPSched{s, opp})
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, rw)
 	}
-	govRow, err := eval("colab-dvfs (governor)", SchedCOLABDVFS, -1)
+	govRow, err := eval("colab-dvfs (governor)", SchedCOLABDVFS)
 	if err != nil {
 		return nil, err
 	}

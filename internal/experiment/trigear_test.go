@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -22,7 +23,7 @@ func TestTriGearAllPolicies(t *testing.T) {
 		t.Fatal("Rand-7 missing")
 	}
 	for _, kind := range TriGearSchedulers() {
-		s, err := r.MixScore(comp, cpu.Config2B2M2S, kind)
+		s, err := r.ScenarioScore(context.Background(), comp.Spec(), cpu.Config2B2M2S, kind)
 		if err != nil {
 			t.Fatalf("%s on %s: %v", kind, cpu.Config2B2M2S.Name, err)
 		}
@@ -42,7 +43,7 @@ func TestTriGearTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := r.TriGearTable()
+	tbl, err := r.TriGearTable(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
